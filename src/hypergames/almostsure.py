@@ -5,8 +5,11 @@ randomize, with positive probability, over her subjectively-rationalizable
 actions.  P1's choice states keep their (possibly restricted) actions, the
 adversary's states become probabilistic with known support only, and the
 deception target is absorbing.  The almost-sure winning region is computed by
-the standard nested fixed point: reach the target with positive probability
-while staying inside the candidate region with probability one.
+the classic almost-sure reachability algorithm for MDPs (de Alfaro 1997;
+Chatterjee & Henzinger, SODA 2011): each outer round runs one backward
+breadth-first search from the target over the candidate region ``X`` and
+shrinks ``X`` to what it found.  A round is linear in the edges of the
+restricted game, and the search layer of a state is its level.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .hypergame import Hts, HtsState, SrActionMap
+from .hypergame import Hts, HtsState, RestrictedGame
 
 __all__ = ["StochasticGame", "AswResult", "build_stochastic_game", "pre_step", "solve_asw"]
 
@@ -42,31 +45,28 @@ class StochasticGame:
         return v in self.choice_actions
 
 
-def build_stochastic_game(
-    hts: Hts, sr: SrActionMap, reachable_only: bool = True
-) -> StochasticGame:
-    """Build the one-player stochastic game from the HTS.
+def build_stochastic_game(rg: RestrictedGame) -> StochasticGame:
+    """View the restricted game as a one-player stochastic game.
 
-    The state space defaults to the fragment reachable under the restricted
-    dynamics (the same fragment the sure-winning solve uses); pass
-    ``reachable_only=False`` for the full S x Q x Q space.
+    The state space is the restricted game's own (its reachable fragment, or
+    the full S x Q x Q space when it was built that way).  The action maps
+    are the restricted game's move dicts, shared rather than copied; neither
+    side mutates them.
     """
-    from .hypergame import build_restricted_game
-
-    rg = build_restricted_game(hts, sr, reachable_only=reachable_only)
     choice_actions: dict[HtsState, dict[str, HtsState]] = {}
     chance_actions: dict[HtsState, dict[str, HtsState]] = {}
     support: dict[HtsState, frozenset] = {}
     for v in rg.states:
+        moves = rg.transitions[v]
         if v in rg.target:
             support[v] = frozenset({v})  # sink
         elif rg.owner[v] == 1:
-            choice_actions[v] = dict(rg.transitions[v])
+            choice_actions[v] = moves
         else:
-            chance_actions[v] = dict(rg.transitions[v])
-            support[v] = frozenset(rg.transitions[v].values())
+            chance_actions[v] = moves
+            support[v] = frozenset(moves.values())
     return StochasticGame(
-        hts=hts,
+        hts=rg.hts,
         states=rg.states,
         choice_actions=choice_actions,
         chance_actions=chance_actions,
@@ -96,46 +96,78 @@ def pre_step(Y: Iterable[HtsState], X: Iterable[HtsState], g: StochasticGame) ->
 
 @dataclass(frozen=True)
 class AswResult:
-    """Fixed point, inner level sets and the extracted almost-sure strategy."""
+    """Almost-sure region, per-state level and the extracted strategy.
+
+    ``level[v]`` is the backward-search layer of ``v`` in the last round: 0
+    for the target, ``i`` for a state that first reaches level ``i - 1``.
+    Its keys are exactly ``x_star``.
+    """
 
     x_star: frozenset
-    levels: tuple[frozenset, ...]
+    level: dict[HtsState, int]
     strategy: dict
+
+    @property
+    def levels(self) -> tuple[frozenset, ...]:
+        """Cumulative level sets ``Y_0 ⊆ Y_1 ⊆ ...``, derived on each access."""
+        layers: list[list[HtsState]] = [
+            [] for _ in range(max(self.level.values(), default=0) + 1)
+        ]
+        for v, i in self.level.items():
+            layers[i].append(v)
+        out: list[frozenset] = []
+        below: set = set()
+        for layer in layers:
+            below.update(layer)
+            out.append(frozenset(below))
+        return tuple(out)
 
 
 def solve_asw(g: StochasticGame) -> AswResult:
-    """Nested fixed-point computation of the almost-sure winning region.
+    """Almost-sure winning region by repeated backward search.
 
-    Outer loop: shrink the candidate region ``X`` to the states that can keep
-    reaching the target inside ``X``.  Inner loop: grow level sets from the
-    target.  The strategy maps every P1 choice state of ``Y_i \\ Y_{i-1}`` to
-    an action whose successor lies one level down (lexicographically smallest
-    such action); inside the target it is undefined, P1 having switched to
-    his true winning strategy.
+    Each outer round searches backward from the target inside the candidate
+    region ``X``: a choice state is admitted on any edge into the found set,
+    a chance state only if its whole support lies in ``X``.  ``X`` shrinks to
+    the found set until a round finds all of it.  The strategy maps every P1
+    choice state of ``X`` outside the target to the lexicographically
+    smallest action whose successor has a lower level; inside the target it
+    is undefined, P1 having switched to his true winning strategy.
     """
-    X = set(g.states)
-    levels: list[set] = []
+    preds: dict[HtsState, list[HtsState]] = {}
+    for v, actions in g.choice_actions.items():
+        for dst in actions.values():
+            preds.setdefault(dst, []).append(v)
+    for v in g.chance_actions:
+        for dst in g.support[v]:
+            preds.setdefault(dst, []).append(v)
+
+    x = set(g.states)
+    # Chance states with part of their support outside x; x only shrinks.
+    blocked = {v for v in g.chance_actions if not g.support[v] <= x}
     while True:
-        levels = [set(v for v in g.target if v in X)]
-        while True:
-            nxt = pre_step(levels[-1], X, g) | levels[-1]
-            if nxt == levels[-1]:
-                break
-            levels.append(nxt)
-        Y = levels[-1]
-        if Y == X:
+        level = {v: 0 for v in g.target if v in x}
+        frontier = list(level)
+        depth = 0
+        while frontier:
+            depth += 1
+            found = []
+            for u in frontier:
+                for v in preds.get(u, ()):
+                    if v not in level and v in x and v not in blocked:
+                        level[v] = depth
+                        found.append(v)
+            frontier = found
+        if len(level) == len(x):
             break
-        X = Y
+        dropped = x.difference(level)
+        x.difference_update(dropped)
+        for u in dropped:
+            blocked.update(v for v in preds.get(u, ()) if v in g.chance_actions)
 
     strategy: dict[HtsState, str] = {}
-    for i in range(1, len(levels)):
-        for v in levels[i] - levels[i - 1]:
-            if v in g.choice_actions:
-                strategy[v] = min(
-                    a for a, dst in g.choice_actions[v].items() if dst in levels[i - 1]
-                )
-    return AswResult(
-        x_star=frozenset(X),
-        levels=tuple(frozenset(level) for level in levels),
-        strategy=strategy,
-    )
+    for v, actions in g.choice_actions.items():
+        rank = level.get(v)
+        if rank:  # in X and outside the target
+            strategy[v] = min(a for a, dst in actions.items() if level.get(dst, rank) < rank)
+    return AswResult(x_star=frozenset(x), level=level, strategy=strategy)

@@ -97,7 +97,7 @@ def synthesize(inp: HypergameInput, dfa_cap: int = 10_000, full_space: bool = Fa
     sr = hypergame.build_sr_map(product_perceived, regions_perceived)
     restricted = hypergame.build_restricted_game(hts, sr, reachable_only=not full_space)
     sure_regions, sure_strategy = hypergame.solve_deceptive_sure(restricted)
-    stochastic = almostsure.build_stochastic_game(hts, sr, reachable_only=not full_space)
+    stochastic = almostsure.build_stochastic_game(restricted)
     asw = almostsure.solve_asw(stochastic)
     return SynthesisBundle(
         inp=inp,

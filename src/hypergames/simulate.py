@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .almostsure import StochasticGame
 from .hypergame import HtsState, RestrictedGame, SrActionMap
@@ -76,36 +76,45 @@ def verify_sure(
 
     verified_states: set[HtsState] = set()
     explored = 0
-
-    def explore(state: HtsState, path: list[HtsState], acts: list[str]) -> Trace | None:
-        nonlocal explored
+    # Depth-first search with an explicit stack: frames[i] holds the moves of
+    # path[i] and the actions still to try there, and acts[i] is the action
+    # taken from path[i] towards the state being visited.
+    path: list[HtsState] = []
+    acts: list[str] = []
+    on_path: set[HtsState] = set()
+    frames: list[tuple[Mapping[str, HtsState], Iterator[str]]] = []
+    counterexample: Trace | None = None
+    state = start
+    while True:
         explored += 1
-        if state in rg.target:
-            return None
-        if state in verified_states:
-            return None
-        if state in path:
-            return Trace(tuple(path + [state]), tuple(acts), reached_target=False)
-        if len(path) >= bound:
-            return Trace(tuple(path + [state]), tuple(acts), reached_target=False)
-        moves = rg.transitions[state]
-        if not moves:
-            return Trace(tuple(path + [state]), tuple(acts), reached_target=False)
-        if rg.owner[state] == 1:
-            chosen = [_p1_move(state, moves, strat)]
+        if state not in rg.target and state not in verified_states:
+            if state in on_path or len(path) >= bound or not rg.transitions[state]:
+                counterexample = Trace(tuple(path) + (state,), tuple(acts), reached_target=False)
+                break
+            moves = rg.transitions[state]
+            if rg.owner[state] == 1:
+                chosen = [_p1_move(state, moves, strat)]
+            else:
+                chosen = sorted(moves)
+            path.append(state)
+            acts.append("")
+            on_path.add(state)
+            frames.append((moves, iter(chosen)))
+        while frames:
+            moves, pending = frames[-1]
+            action = next(pending, None)
+            if action is not None:
+                acts[-1] = action
+                state = moves[action]
+                break
+            frames.pop()
+            acts.pop()
+            done = path.pop()
+            on_path.remove(done)
+            verified_states.add(done)
         else:
-            chosen = sorted(moves)
-        path.append(state)
-        for action in chosen:
-            bad = explore(moves[action], path, acts + [action])
-            if bad is not None:
-                path.pop()
-                return bad
-        path.pop()
-        verified_states.add(state)
-        return None
+            break
 
-    counterexample = explore(start, [], [])
     return VerificationReport(
         verified=counterexample is None,
         counterexample=counterexample,
@@ -204,7 +213,8 @@ def _run_trial(
 def audit_stealth(trace: Trace, sr: SrActionMap, target: Iterable[HtsState]) -> bool:
     """True iff every P1 action taken before first entering ``target`` is
     subjectively rationalizable for P1 at the corresponding perceived state."""
-    target = set(target)
+    if not isinstance(target, (set, frozenset)):
+        target = set(target)
     arena = sr.product2.arena
     for state, action in zip(trace.states, trace.actions):
         if state in target:
@@ -212,6 +222,6 @@ def audit_stealth(trace: Trace, sr: SrActionMap, target: Iterable[HtsState]) -> 
         s, _q, p = state
         if arena.owner[s] != 1:
             continue
-        if action not in sr.for_player(1, s, p):
+        if action not in sr.owner_actions(s, p):
             return False
     return True

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from hypergames.almostsure import StochasticGame
+from hypergames.almostsure import StochasticGame, pre_step
 from hypergames.speclang import (
     And,
     Atom,
@@ -154,3 +154,70 @@ def asw_oracle(g: StochasticGame) -> frozenset:
             if seen <= can_reach:
                 winning.add(v)
     return frozenset(winning)
+
+
+def nested_fixed_point_oracle(g: StochasticGame) -> tuple[frozenset, tuple[frozenset, ...], dict]:
+    """X*, cumulative level sets and strategy by the plain nested fixed point.
+
+    Outer loop: shrink the candidate region ``X`` to the states that can keep
+    reaching the target inside ``X``.  Inner loop: grow level sets from the
+    target with one full ``pre_step`` sweep per level.  The strategy maps
+    every P1 choice state of ``Y_i \\ Y_{i-1}`` to the smallest action whose
+    successor lies in ``Y_{i-1}``.  Quadratic in the depth; small games only.
+    """
+    X = set(g.states)
+    levels: list[set] = []
+    while True:
+        levels = [set(v for v in g.target if v in X)]
+        while True:
+            nxt = pre_step(levels[-1], X, g) | levels[-1]
+            if nxt == levels[-1]:
+                break
+            levels.append(nxt)
+        Y = levels[-1]
+        if Y == X:
+            break
+        X = Y
+
+    strategy: dict = {}
+    for i in range(1, len(levels)):
+        for v in levels[i] - levels[i - 1]:
+            if v in g.choice_actions:
+                strategy[v] = min(
+                    a for a, dst in g.choice_actions[v].items() if dst in levels[i - 1]
+                )
+    return frozenset(X), tuple(frozenset(level) for level in levels), strategy
+
+
+def recursive_verify_oracle(rg, strat, start, bound):
+    """``(verified, counterexample states, counterexample actions, states
+    explored)`` by the plain recursive depth-first search, in the same order
+    as ``verify_sure``: P1 follows ``strat`` (the smallest action where it is
+    undefined), the adversary's moves are tried in sorted order, and a state
+    is settled once every play through it reached the target."""
+    settled: set = set()
+    explored = 0
+
+    def explore(state, path, acts):
+        nonlocal explored
+        explored += 1
+        if state in rg.target or state in settled:
+            return None
+        moves = rg.transitions[state]
+        if state in path or len(path) >= bound or not moves:
+            return (tuple(path + [state]), tuple(acts))
+        if rg.owner[state] == 1:
+            chosen = [strat.get(state, min(moves))]
+        else:
+            chosen = sorted(moves)
+        for action in chosen:
+            bad = explore(moves[action], path + [state], acts + [action])
+            if bad is not None:
+                return bad
+        settled.add(state)
+        return None
+
+    bad = explore(start, [], [])
+    if bad is None:
+        return True, None, None, explored
+    return False, bad[0], bad[1], explored

@@ -19,6 +19,7 @@ from hypergames.speclang import (
     Or,
     Until,
     all_symbols,
+    parse_formula,
 )
 
 
@@ -113,7 +114,6 @@ def small_hypergame_input(rng: random.Random) -> HypergameInput:
     512.
     """
     from hypergames.cli import synthesize
-    from hypergames.speclang import parse_formula
 
     while True:
         arena = random_arena(rng, max_states=5, max_branch=3, ap=("a", "b"))
@@ -128,3 +128,35 @@ def small_hypergame_input(rng: random.Random) -> HypergameInput:
         if prod((len(moves) for moves in g.choice_actions.values()), start=1) > 512:
             continue
         return inp
+
+
+def corridor_input(n: int) -> HypergameInput:
+    """A corridor of ``n`` (even) states alternating P1/P2, plus a trap sink.
+
+    Position 0 is the initial state and position ``n - 1`` the goal, which
+    carries the true ``a`` and loops on itself.  Every P2 position but the
+    goal may also escape to the trap (state ``n``), which carries the
+    perceived ``a`` only.  Escaping looks irrational to P2, so P1 wins ``F a``
+    only by deception: the restricted game is the ``n``-state chain, its
+    target the last two positions and its ASW levels ``n - 1``.
+    """
+    trap, goal = n, n - 1
+    owner = {i: 1 if i % 2 == 0 else 2 for i in range(n - 1)}
+    owner[goal], owner[trap] = 2, 1
+    transitions: dict = {}
+    for i in range(n - 1):
+        transitions[i] = {f"{i}->{i + 1}": i + 1}
+        if owner[i] == 2:
+            transitions[i][f"{i}->{trap}"] = trap
+    transitions[goal] = {f"{goal}->{goal}": goal}
+    transitions[trap] = {f"{trap}->{trap}": trap}
+    arena = Arena(
+        states=tuple(range(n + 1)),
+        owner=owner,
+        transitions=transitions,
+        initial=0,
+        ap=frozenset({"a"}),
+        label_true={goal: frozenset({"a"})},
+        label_perceived={trap: frozenset({"a"})},
+    )
+    return HypergameInput(arena=arena, objective=parse_formula("F a", arena.ap), objective_text="F a")

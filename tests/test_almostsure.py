@@ -3,9 +3,11 @@ import random
 import pytest
 
 from hypergames.almostsure import build_stochastic_game, pre_step, solve_asw
+from hypergames.arena import HypergameInput
+from hypergames.cli import synthesize
 
-from oracles import asw_oracle
-from randgen import small_hypergame_input
+from oracles import asw_oracle, nested_fixed_point_oracle
+from randgen import corridor_input, random_arena, random_dfa, small_hypergame_input
 
 GOLDEN_LEVELS = [
     {(5, "q1", "q0"), (6, "q1", "q0"), (7, "q1", "q0")},
@@ -28,6 +30,13 @@ class TestStochasticGame:
         g = running_bundle.stochastic
         for v in g.target:
             assert g.support[v] == {v}
+
+    def test_built_from_restricted_game(self, running_bundle):
+        rg = running_bundle.restricted
+        g = build_stochastic_game(rg)
+        assert g.states == rg.states and g.target == rg.target
+        for v, moves in {**g.choice_actions, **g.chance_actions}.items():
+            assert moves is rg.transitions[v]
 
     def test_chance_support_matches_rationalizable_moves(self, running_bundle):
         g = running_bundle.stochastic
@@ -85,10 +94,14 @@ class TestSolveAsw:
             dst = g.choice_actions[v][a]
             assert dst in levels[rank - 1]
 
+    def test_level_index_derives_levels(self, running_bundle):
+        asw = running_bundle.asw
+        assert set(asw.level) == asw.x_star
+        for v, i in asw.level.items():
+            assert v in asw.levels[i] and (i == 0 or v not in asw.levels[i - 1])
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_enumeration_oracle(self, seed, running_bundle):
-        from hypergames.cli import synthesize
-
         rng = random.Random(seed)
         inp = small_hypergame_input(rng)
         bundle = synthesize(inp)
@@ -96,3 +109,43 @@ class TestSolveAsw:
 
     def test_oracle_agrees_on_running_example(self, running_bundle):
         assert asw_oracle(running_bundle.stochastic) == running_bundle.asw.x_star
+
+
+def _suite4_games():
+    for seed in range(200):
+        rng = random.Random(1000 + seed)
+        arena = random_arena(rng, max_states=50, max_branch=4)
+        dfa = random_dfa(rng, arena.ap, max_states=5)
+        yield synthesize(HypergameInput(arena=arena, objective=dfa)).stochastic
+
+
+def _small_games():
+    for seed in [*range(8), *range(2000, 2050)]:
+        yield synthesize(small_hypergame_input(random.Random(seed))).stochastic
+
+
+class TestAgainstNestedFixedPoint:
+    """The linear solve gives exactly what the nested fixed point gives."""
+
+    @pytest.mark.parametrize("games", [_suite4_games, _small_games])
+    def test_same_region_levels_and_strategy(self, games):
+        compared = 0
+        for g in games():
+            x_star, levels, strategy = nested_fixed_point_oracle(g)
+            asw = solve_asw(g)
+            assert asw.x_star == x_star
+            assert asw.levels == levels
+            assert asw.strategy == strategy
+            compared += 1
+        assert compared >= 50
+
+    def test_long_chain_has_one_level_per_step(self):
+        # P1/P2 corridor of n states: the target is its last two states, so
+        # the backward search takes n - 2 layers above it
+        n = 4000
+        g = synthesize(corridor_input(n)).stochastic
+        asw = solve_asw(g)
+        assert len(g.states) == n and len(g.target) == 2
+        assert asw.x_star == set(g.states)
+        assert sorted(set(asw.level.values())) == list(range(n - 1))
+        assert len(asw.strategy) == n // 2 - 1

@@ -1,6 +1,14 @@
+import random
+import sys
+
 import pytest
 
+from hypergames.arena import HypergameInput
+from hypergames.cli import synthesize
 from hypergames.simulate import Trace, audit_stealth, simulate_asw, verify_sure
+
+from oracles import recursive_verify_oracle
+from randgen import corridor_input, random_arena, random_dfa
 
 
 class TestVerifySure:
@@ -37,6 +45,36 @@ class TestVerifySure:
         rg = running_bundle.restricted
         with pytest.raises(ValueError, match="not available"):
             verify_sure(rg, {(0, "q0", "q0"): "0->9"}, (0, "q0", "q0"))
+
+    def test_long_chain_without_recursion(self):
+        # a 3998-step sure strategy, deeper than the interpreter's recursion limit
+        bundle = synthesize(corridor_input(4000))
+        rg = bundle.restricted
+        assert max(bundle.sure_regions.level.values()) > sys.getrecursionlimit()
+        report = verify_sure(rg, bundle.sure_strategy, rg.initial)
+        assert report.verified
+        assert report.states_explored == len(rg.states) - 1
+
+    def test_matches_recursive_search(self):
+        # same verdict, counterexample and explored count as the plain
+        # recursive search, from every state of every restricted game
+        for seed in range(40):
+            rng = random.Random(1000 + seed)
+            arena = random_arena(rng, max_states=50, max_branch=4)
+            dfa = random_dfa(rng, arena.ap, max_states=5)
+            bundle = synthesize(HypergameInput(arena=arena, objective=dfa))
+            rg = bundle.restricted
+            for start in rg.states:
+                for bound in (3, len(rg.states)):
+                    report = verify_sure(rg, bundle.sure_strategy, start, bound=bound)
+                    trace = report.counterexample
+                    got = (
+                        report.verified,
+                        None if trace is None else trace.states,
+                        None if trace is None else trace.actions,
+                        report.states_explored,
+                    )
+                    assert got == recursive_verify_oracle(rg, bundle.sure_strategy, start, bound)
 
 
 class TestSimulateAsw:
@@ -130,6 +168,17 @@ class TestAuditStealth:
             reached_target=True,
         )
         assert audit_stealth(trace, running_bundle.sr, running_bundle.hts.target)
+
+    def test_target_given_as_iterator(self, running_bundle):
+        # the irrational 3->4 comes after entering the given target; a
+        # one-shot iterator must be read once, not consumed by the first lookup
+        trace = Trace(
+            states=((4, "q0", "q0"), (3, "q0", "q0"), (4, "q0", "q0")),
+            actions=("4->3", "3->4"),
+            reached_target=False,
+        )
+        assert audit_stealth(trace, running_bundle.sr, iter([(3, "q0", "q0")]))
+        assert not audit_stealth(trace, running_bundle.sr, iter([]))
 
     def test_adversary_moves_not_audited(self, running_bundle):
         # 4 belongs to the adversary; her own deviation is not P1's stealth leak
