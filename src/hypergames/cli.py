@@ -219,7 +219,7 @@ def export_dot(graph, regions=None, path: str | Path | None = None) -> str:
         transitions = {
             v: graph.choice_actions.get(v, graph.chance_actions.get(v, {})) for v in states
         }
-        owner = {v: graph.hts.owner[v] for v in states}
+        owner = {v: graph.hts.arena.owner[v[0]] for v in states}
         initial = graph.initial
         removed = {}
         chance = frozenset(graph.chance_actions)

@@ -2,10 +2,11 @@
 
 The HTS tracks the arena state together with both automaton components:
 ``(s, q, p)`` where ``q`` follows the true labeling and ``p`` the labeling
-perceived by the adversary.  P1 wins deceptively by steering the play into the
-deception target while using only actions the adversary considers rational in
-her own perceptual game; once there he abandons stealth and follows his true
-winning strategy.
+perceived by the adversary.  Its moves are computed on demand, so a solve from
+the initial triple explores only the fragment reachable from it.  P1 wins
+deceptively by steering the play into the deception target while using only
+actions the adversary considers rational in her own perceptual game; once
+there he abandons stealth and follows his true winning strategy.
 
 Two deliberate modeling choices (both match the worked example the golden
 tests pin down):
@@ -22,11 +23,11 @@ tests pin down):
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arena import Arena, HypergameInput, StateId
-from .product import ProductGame, build_product
+from .product import ProductGame
 from .reachsolver import Regions, Strategy, solve_reachability
 from .speclang import Dfa
 
@@ -89,17 +90,57 @@ def build_sr_map(product2: ProductGame, regions2: Regions) -> SrActionMap:
 
 @dataclass(frozen=True)
 class Hts:
-    """Hypergame transition system over the full S x Q x Q space."""
+    """Hypergame transition system over ``S x Q x Q``, computed on demand.
+
+    ``step1[(q, s)]`` / ``step2[(q, s)]`` is the true / perceived automaton
+    state after entering arena state ``s`` from ``q``.  :meth:`successors`
+    gives one triple's moves; the whole-space views are built on first access.
+    """
 
     arena: Arena
     dfa: Dfa
-    states: tuple[HtsState, ...]
-    owner: dict[HtsState, int]
-    transitions: dict[HtsState, dict[str, HtsState]]
+    step1: dict[tuple[str, StateId], str]
+    step2: dict[tuple[str, StateId], str]
     initial: HtsState
-    target: frozenset
-    reachable: frozenset
     robust_win: frozenset  # arena states winning in the true product for every q
+
+    def successors(self, v: HtsState) -> dict[str, HtsState]:
+        s, q, p = v
+        moves = self.arena.transitions[s].items()
+        return {a: (dst, self.step1[(q, dst)], self.step2[(p, dst)]) for a, dst in moves}
+
+    @cached_property
+    def states(self) -> tuple[HtsState, ...]:
+        qs = self.dfa.states
+        return tuple((s, q, p) for s in self.arena.states for q in qs for p in qs)
+
+    @cached_property
+    def owner(self) -> dict[HtsState, int]:
+        return {v: self.arena.owner[v[0]] for v in self.states}
+
+    @cached_property
+    def transitions(self) -> dict[HtsState, dict[str, HtsState]]:
+        return {v: self.successors(v) for v in self.states}
+
+    @cached_property
+    def target(self) -> frozenset:
+        return frozenset(v for v in self.states if v[0] in self.robust_win)
+
+    @cached_property
+    def reachable(self) -> frozenset:
+        """Triples reachable from ``initial`` under every move, rational or not."""
+        return frozenset(_forward_closure(self.initial, self.successors))
+
+
+def _forward_closure(start: HtsState, moves) -> set:
+    """States reachable from ``start``, where ``moves(v)`` maps actions to successors."""
+    seen, stack = {start}, [start]
+    while stack:
+        for dst in moves(stack.pop()).values():
+            if dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return seen
 
 
 def robust_winning_states(arena: Arena, dfa: Dfa, win11: Regions) -> frozenset:
@@ -110,66 +151,30 @@ def robust_winning_states(arena: Arena, dfa: Dfa, win11: Regions) -> frozenset:
 
 
 def build_hts(inp: HypergameInput, d: Dfa, win11: Regions) -> Hts:
-    """Build the HTS of the level-2 hypergame.
+    """Build the HTS of the level-2 hypergame; the work is linear in ``S x Q``.
 
     ``win11`` must be the solution of the true-labeling product of the same
     arena and DFA.  The target collects every triple whose arena component is
     robustly sure-winning in that product.
     """
     arena = inp.arena
-    for s in arena.states:
-        for q in d.states:
-            if (s, q) not in win11.win1 and (s, q) not in win11.win2:
-                raise ValueError(
-                    "true-product regions do not cover this arena/DFA pair; "
-                    f"missing {(s, q)!r}"
-                )
     step1: dict[tuple[str, StateId], str] = {}
     step2: dict[tuple[str, StateId], str] = {}
     for s in arena.states:
         l1, l2 = arena.label(s, 1), arena.label(s, 2)
         for q in d.states:
+            if (s, q) not in win11:
+                raise ValueError(f"true-product regions do not cover {(s, q)!r}")
             step1[(q, s)] = d.delta[(q, l1)]
             step2[(q, s)] = d.delta[(q, l2)]
-
-    states: list[HtsState] = []
-    owner: dict[HtsState, int] = {}
-    transitions: dict[HtsState, dict[str, HtsState]] = {}
-    for s in arena.states:
-        for q in d.states:
-            for p in d.states:
-                v = (s, q, p)
-                states.append(v)
-                owner[v] = arena.owner[s]
-                transitions[v] = {
-                    a: (dst, step1[(q, dst)], step2[(p, dst)])
-                    for a, dst in arena.transitions[s].items()
-                }
     s0 = arena.initial
-    initial = (s0, step1[(d.initial, s0)], step2[(d.initial, s0)])
-
-    robust = robust_winning_states(arena, d, win11)
-    target = frozenset(v for v in states if v[0] in robust)
-
-    seen = {initial}
-    queue = deque([initial])
-    while queue:
-        v = queue.popleft()
-        for dst in transitions[v].values():
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
-
     return Hts(
         arena=arena,
         dfa=d,
-        states=tuple(states),
-        owner=owner,
-        transitions=transitions,
-        initial=initial,
-        target=target,
-        reachable=frozenset(seen),
-        robust_win=robust,
+        step1=step1,
+        step2=step2,
+        initial=(s0, step1[(d.initial, s0)], step2[(d.initial, s0)]),
+        robust_win=robust_winning_states(arena, d, win11),
     )
 
 
@@ -196,45 +201,39 @@ def build_restricted_game(
 ) -> RestrictedGame:
     """Restrict the HTS to subjectively-rationalizable actions of both players.
 
-    By default the game is cut down to the fragment reachable from the initial
-    state under the restricted dynamics, mirroring how the synthesis is meant
-    to be used from the start of a play.
+    By default one forward search expands only the fragment reachable from the
+    initial state under the restricted dynamics, ordered as in ``hts.states``;
+    ``reachable_only=False`` expands every state of ``S x Q x Q`` instead.
     """
-
-    def allowed(v: HtsState) -> frozenset[str]:
-        return sr.owner_actions(v[0], v[2])
-
-    if reachable_only:
-        seen = {hts.initial}
-        queue = deque([hts.initial])
-        while queue:
-            v = queue.popleft()
-            moves = hts.transitions[v]
-            for a in allowed(v):
-                dst = moves[a]
-                if dst not in seen:
-                    seen.add(dst)
-                    queue.append(dst)
-        states = tuple(v for v in hts.states if v in seen)
-    else:
-        states = hts.states
-
     transitions: dict[HtsState, dict[str, HtsState]] = {}
     removed: dict[HtsState, dict[str, HtsState]] = {}
-    for v in states:
-        keep = allowed(v)
-        transitions[v] = {a: dst for a, dst in hts.transitions[v].items() if a in keep}
-        dropped = {a: dst for a, dst in hts.transitions[v].items() if a not in keep}
-        if dropped:
-            removed[v] = dropped
+
+    def expand(v: HtsState) -> dict[str, HtsState]:
+        moves = hts.successors(v)
+        keep = sr.owner_actions(v[0], v[2])
+        if len(keep) < len(moves):
+            removed[v] = {a: dst for a, dst in moves.items() if a not in keep}
+            moves = {a: dst for a, dst in moves.items() if a in keep}
+        transitions[v] = moves
+        return moves
+
+    if reachable_only:
+        seen = _forward_closure(hts.initial, expand)
+        s_index = {s: i for i, s in enumerate(hts.arena.states)}
+        q_index = {q: i for i, q in enumerate(hts.dfa.states)}
+        states = tuple(sorted(seen, key=lambda v: (s_index[v[0]], q_index[v[1]], q_index[v[2]])))
+    else:
+        states = hts.states
+        for v in states:
+            expand(v)
     return RestrictedGame(
         hts=hts,
         states=states,
-        owner={v: hts.owner[v] for v in states},
+        owner={v: hts.arena.owner[v[0]] for v in states},
         transitions=transitions,
         removed=removed,
         initial=hts.initial,
-        target=frozenset(v for v in states if v in hts.target),
+        target=frozenset(v for v in states if v[0] in hts.robust_win),
         reachable_only=reachable_only,
     )
 

@@ -29,9 +29,6 @@ class ProductGame:
     initial: ProductState
     target: frozenset
 
-    def step_label(self, s: StateId) -> frozenset[str]:
-        return self.arena.label(s, self.which)
-
 
 def build_product(arena: Arena, which: int, d: Dfa) -> ProductGame:
     """Build the product game of ``arena`` under labeling ``which`` with ``d``.

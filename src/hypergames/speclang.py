@@ -441,31 +441,35 @@ def compile_to_dfa(f: Formula, ap: Iterable[str], max_states: int = 10_000) -> D
 
     Raises :class:`UndeclaredAtomError` if ``f`` mentions a proposition outside
     ``ap`` and :class:`DfaSizeError` when more than ``max_states`` residual
-    states are generated.
+    states are generated, or when a residual nests too deeply to progress
+    (syntactic normalisation does not bound the residuals of nested ``U``).
     """
     ap = frozenset(ap)
     undeclared = atoms_of(f) - ap
     if undeclared:
         raise UndeclaredAtomError(sorted(undeclared)[0])
     symbols = all_symbols(ap)
-    start = normalize(f)
-    names: dict[Formula, str] = {start: "q0"}
-    order = [start]
-    delta: dict[tuple[str, frozenset[str]], str] = {}
-    frontier = [start]
-    while frontier:
-        state = frontier.pop(0)
-        for sigma in symbols:
-            nxt = normalize(progress(state, sigma))
-            if nxt not in names:
-                if len(names) >= max_states:
-                    raise DfaSizeError(
-                        f"residual state space exceeds the cap of {max_states} states"
-                    )
-                names[nxt] = f"q{len(names)}"
-                order.append(nxt)
-                frontier.append(nxt)
-            delta[(names[state], sigma)] = names[nxt]
+    try:
+        start = normalize(f)
+        names: dict[Formula, str] = {start: "q0"}
+        order = [start]
+        delta: dict[tuple[str, frozenset[str]], str] = {}
+        frontier = [start]
+        while frontier:
+            state = frontier.pop(0)
+            for sigma in symbols:
+                nxt = normalize(progress(state, sigma))
+                if nxt not in names:
+                    if len(names) >= max_states:
+                        raise DfaSizeError(
+                            f"residual state space exceeds the cap of {max_states} states"
+                        )
+                    names[nxt] = f"q{len(names)}"
+                    order.append(nxt)
+                    frontier.append(nxt)
+                delta[(names[state], sigma)] = names[nxt]
+    except RecursionError:
+        raise DfaSizeError("residual formulas nest too deeply to compile") from None
     accepting = frozenset(names[g] for g in order if g == TOP)
     return Dfa(
         ap=ap,

@@ -8,6 +8,8 @@ syntax tree) so that agreement is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+from collections import deque
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from hypergames.almostsure import StochasticGame, pre_step
@@ -221,3 +223,74 @@ def recursive_verify_oracle(rg, strat, start, bound):
     if bad is None:
         return True, None, None, explored
     return False, bad[0], bad[1], explored
+
+
+def eager_restricted_game_oracle(inp, dfa, win11, sr, reachable_only=True):
+    """``(hts, restricted)`` built eagerly, as plain namespaces.
+
+    The HTS enumerates all of ``S x Q x Q`` with an owner and a successor dict
+    for every triple, then finds its reachable set by breadth-first search.
+    The restricted game runs a second breadth-first search over the
+    rationalizable moves and keeps the HTS states it found, in HTS order.
+    """
+    arena = inp.arena
+    step1, step2 = {}, {}
+    for s in arena.states:
+        for q in dfa.states:
+            step1[(q, s)] = dfa.delta[(q, arena.label(s, 1))]
+            step2[(q, s)] = dfa.delta[(q, arena.label(s, 2))]
+    states, owner, transitions = [], {}, {}
+    for s in arena.states:
+        for q in dfa.states:
+            for p in dfa.states:
+                v = (s, q, p)
+                states.append(v)
+                owner[v] = arena.owner[s]
+                transitions[v] = {
+                    a: (dst, step1[(q, dst)], step2[(p, dst)])
+                    for a, dst in arena.transitions[s].items()
+                }
+    s0 = arena.initial
+    initial = (s0, step1[(dfa.initial, s0)], step2[(dfa.initial, s0)])
+    robust = {s for s in arena.states if all((s, q) in win11.win1 for q in dfa.states)}
+    target = frozenset(v for v in states if v[0] in robust)
+
+    def bfs(moves_of):
+        seen = {initial}
+        queue = deque([initial])
+        while queue:
+            for dst in moves_of(queue.popleft()).values():
+                if dst not in seen:
+                    seen.add(dst)
+                    queue.append(dst)
+        return seen
+
+    hts = SimpleNamespace(
+        states=tuple(states), owner=owner, transitions=transitions, initial=initial,
+        target=target, reachable=frozenset(bfs(transitions.__getitem__)), robust_win=robust,
+    )
+
+    def kept(v):
+        allowed = sr.owner_actions(v[0], v[2])
+        return {a: dst for a, dst in transitions[v].items() if a in allowed}
+
+    if reachable_only:
+        seen = bfs(kept)
+        rg_states = tuple(v for v in states if v in seen)
+    else:
+        rg_states = tuple(states)
+    rg_transitions, removed = {}, {}
+    for v in rg_states:
+        rg_transitions[v] = kept(v)
+        dropped = {a: dst for a, dst in transitions[v].items() if a not in rg_transitions[v]}
+        if dropped:
+            removed[v] = dropped
+    restricted = SimpleNamespace(
+        states=rg_states,
+        owner={v: owner[v] for v in rg_states},
+        transitions=rg_transitions,
+        removed=removed,
+        initial=initial,
+        target=frozenset(v for v in rg_states if v in target),
+    )
+    return hts, restricted

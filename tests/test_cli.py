@@ -1,10 +1,14 @@
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from hypergames.cli import RunConfig, export_dot, main, run
 
 from conftest import SCENARIO
+
+GOLDEN = Path(__file__).parent / "golden"
 
 GOLDEN_SURE_ROWS = [
     [4, "q0", "q0"],
@@ -105,6 +109,38 @@ def test_dot_marks_unreachable(running_bundle):
     )
     text = export_dot(full, running_bundle.sure_regions)
     assert "dashed" in text
+
+
+def test_dot_bytes_pinned(running_bundle):
+    from hypergames.hypergame import build_restricted_game
+
+    full = build_restricted_game(running_bundle.hts, running_bundle.sr, reachable_only=False)
+    for graph, regions, name in (
+        (running_bundle.stochastic, None, "running_example_stochastic.dot"),
+        (full, running_bundle.sure_regions, "running_example_full_restricted.dot"),
+    ):
+        assert export_dot(graph, regions) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_unbounded_residuals_exit_code(tmp_path, capsys):
+    # Nested U makes the residuals grow without bound until progression
+    # overflows the stack; that is a resource cap (exit 3), not a traceback.
+    # A lower recursion limit makes the same overflow arrive sooner.
+    document = json.loads(SCENARIO.read_text())
+    document["objective"] = {"formula": "(F A) U (F A)"}
+    scenario = tmp_path / "nested_until.json"
+    scenario.write_text(json.dumps(document))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(400)
+    try:
+        status = main([str(scenario), "--mode", "sure"])
+    finally:
+        sys.setrecursionlimit(limit)
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_full_space_flag(tmp_path, capsys):

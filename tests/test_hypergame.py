@@ -14,7 +14,8 @@ from hypergames.cli import synthesize
 from hypergames.arena import HypergameInput
 from hypergames.speclang import parse_formula
 
-from randgen import random_arena
+from oracles import eager_restricted_game_oracle
+from randgen import corridor_input, random_arena, small_hypergame_input
 
 GOLDEN_FRAGMENT = {
     (0, "q0", "q0"),
@@ -135,3 +136,76 @@ class TestRestrictedGame:
         for v in running_bundle.sure_strategy:
             assert v not in running_bundle.restricted.target
             assert running_bundle.restricted.owner[v] == 1
+
+
+def _lazy_build_cases(running_input):
+    yield running_input
+    for seed in range(60):
+        yield small_hypergame_input(random.Random(seed))
+    yield corridor_input(200)
+
+
+class TestAgainstEagerBuild:
+    """The lazy HTS and the one-search restricted game against the eager build."""
+
+    @pytest.mark.parametrize("reachable_only", [True, False])
+    def test_same_restricted_game(self, running_input, reachable_only):
+        for inp in _lazy_build_cases(running_input):
+            bundle = synthesize(inp)
+            hts = build_hts(inp, bundle.dfa, bundle.regions_true)
+            rg = build_restricted_game(hts, bundle.sr, reachable_only=reachable_only)
+            _, expected = eager_restricted_game_oracle(
+                inp, bundle.dfa, bundle.regions_true, bundle.sr, reachable_only
+            )
+            assert rg.states == expected.states  # order included
+            assert rg.owner == expected.owner
+            assert rg.transitions == expected.transitions
+            assert rg.removed == expected.removed
+            assert rg.target == expected.target
+            assert rg.initial == expected.initial
+
+    def test_same_whole_space_views(self, running_input):
+        for inp in _lazy_build_cases(running_input):
+            bundle = synthesize(inp)
+            expected, _ = eager_restricted_game_oracle(
+                inp, bundle.dfa, bundle.regions_true, bundle.sr
+            )
+            hts = bundle.hts
+            assert hts.initial == expected.initial
+            assert hts.robust_win == expected.robust_win
+            assert hts.states == expected.states
+            assert hts.owner == expected.owner
+            assert hts.transitions == expected.transitions
+            assert hts.target == expected.target
+            assert hts.reachable == expected.reachable
+
+
+class TestNoFullEnumeration:
+    """Synthesis from the initial state never builds a whole-space HTS view."""
+
+    VIEWS = ("states", "owner", "transitions", "target", "reachable")
+
+    def _conj_input(self):
+        rng = random.Random(3)
+        arena = random_arena(rng, max_states=300, min_states=300, ap=("a", "b", "c"))
+        text = "F a & F b & F c"
+        return HypergameInput(arena, parse_formula(text, arena.ap), text)
+
+    def test_synthesize_reads_no_whole_space_view(self):
+        inp = self._conj_input()
+        bundle = synthesize(inp)
+        assert len(bundle.dfa.states) == 8
+        # a cached view is stored in the instance dict on first access
+        assert not set(self.VIEWS) & set(vars(bundle.hts))
+        assert len(bundle.restricted.states) < len(inp.arena.states) * 8 * 8
+
+    def test_full_space_solves_every_triple(self):
+        inp = self._conj_input()
+        full = synthesize(inp, full_space=True)
+        fragment = synthesize(inp)
+        assert len(full.restricted.states) == len(inp.arena.states) * 8 * 8
+        # the fragment is closed under the restricted moves, so its solves are
+        # the full-space solves cut down to it
+        states = set(fragment.restricted.states)
+        assert full.sure_regions.win1 & states == fragment.sure_regions.win1
+        assert full.asw.x_star & states == fragment.asw.x_star

@@ -120,6 +120,12 @@ class TestCompile:
         with pytest.raises(DfaSizeError):
             compile_to_dfa(parse_formula("F a", {"a"}), {"a"}, max_states=1)
 
+    def test_unbounded_residuals_raise_size_error(self):
+        # syntactic normalisation never finds two residuals of nested U equal,
+        # so they grow until progression overflows the stack
+        with pytest.raises(DfaSizeError, match="nest too deeply"):
+            compile_to_dfa(parse_formula("(F a) U (F a)", {"a"}), {"a"})
+
     def test_undeclared_atom_rejected(self):
         f = Eventually(Atom("z"))
         with pytest.raises(UndeclaredAtomError):
