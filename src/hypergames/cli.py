@@ -24,7 +24,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -61,8 +62,6 @@ class SynthesisBundle:
     regions_true: Regions
     regions_perceived: Regions
     true_strategy: Strategy
-    arena_regions_true: Regions
-    arena_regions_perceived: Regions
     hts: hypergame.Hts
     sr: hypergame.SrActionMap
     restricted: hypergame.RestrictedGame
@@ -70,6 +69,16 @@ class SynthesisBundle:
     sure_strategy: Strategy
     stochastic: almostsure.StochasticGame
     asw: almostsure.AswResult
+
+    # The arena-level shortcut regions are read only by the perceptual report
+    # and its DOT rendering, so they are solved on first access.
+    @cached_property
+    def arena_regions_true(self) -> Regions:
+        return _arena_shortcut_regions(self.inp.arena, self.dfa, 1)
+
+    @cached_property
+    def arena_regions_perceived(self) -> Regions:
+        return _arena_shortcut_regions(self.inp.arena, self.dfa, 2)
 
 
 def _arena_shortcut_regions(arena: Arena, dfa: Dfa, which: int) -> Regions:
@@ -107,8 +116,6 @@ def synthesize(inp: HypergameInput, dfa_cap: int = 10_000, full_space: bool = Fa
         regions_true=regions_true,
         regions_perceived=regions_perceived,
         true_strategy=true_strategy,
-        arena_regions_true=_arena_shortcut_regions(inp.arena, dfa, 1),
-        arena_regions_perceived=_arena_shortcut_regions(inp.arena, dfa, 2),
         hts=hts,
         sr=sr,
         restricted=restricted,

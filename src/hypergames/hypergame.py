@@ -54,14 +54,18 @@ def sr_actions(
     that stay inside that region are rationalizable; otherwise the player has
     already lost in the adversary's perception and any enabled action is.
     """
-    if state not in product2.owner:
+    if not (isinstance(state, tuple) and len(state) == 2):
+        raise ValueError(f"unknown L2-product state {state!r}")
+    s, q = state
+    if (q, s) not in product2.step:
         raise ValueError(f"unknown L2-product state {state!r}")
     if player not in (1, 2):
         raise ValueError(f"player must be 1 or 2, got {player!r}")
-    succs = product2.transitions[state]
+    succs = product2.arena.transitions[s]
     win = regions2.win1 if player == 1 else regions2.win2
     if state in win:
-        return frozenset(a for a, dst in succs.items() if dst in win)
+        step = product2.step
+        return frozenset(a for a, dst in succs.items() if (dst, step[(q, dst)]) in win)
     return frozenset(succs)
 
 
@@ -81,10 +85,25 @@ class SrActionMap:
 
 
 def build_sr_map(product2: ProductGame, regions2: Regions) -> SrActionMap:
-    by_state = {
-        v: sr_actions(product2, regions2, v, product2.owner[v])
-        for v in product2.states
-    }
+    """:func:`sr_actions` of the owner at every L2-product state, in ``states`` order.
+
+    Reads the arena's adjacency and the product's step table directly; states
+    whose every action is rationalizable share one action set.
+    """
+    arena, step = product2.arena, product2.step
+    states, nq = product2.states, len(product2.dfa.states)
+    by_state: dict[tuple, frozenset[str]] = {}
+    for i, s in enumerate(arena.states):
+        succs = arena.transitions[s]
+        every = frozenset(succs)
+        win = regions2.win1 if arena.owner[s] == 1 else regions2.win2
+        for v in states[i * nq:(i + 1) * nq]:  # (s, q) for every q
+            if v in win:
+                q = v[1]
+                keep = [a for a, dst in succs.items() if (dst, step[(q, dst)]) in win]
+                by_state[v] = every if len(keep) == len(every) else frozenset(keep)
+            else:
+                by_state[v] = every
     return SrActionMap(product2=product2, regions2=regions2, by_state=by_state)
 
 

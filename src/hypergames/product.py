@@ -1,10 +1,17 @@
-"""Synchronous product of an arena (under one labeling) with an objective DFA."""
+"""Synchronous product of an arena (under one labeling) with an objective DFA.
+
+The product is a view over ``S x Q``: it keeps the arena, the DFA and the
+automaton step table, and computes a state's moves on demand.  The solver gets
+its int adjacency straight from the arena's adjacency and the step table.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arena import Arena, StateId
+from .reachsolver import IndexedGame
 from .speclang import AlphabetError, Dfa, all_symbols
 
 __all__ = ["ProductGame", "build_product"]
@@ -14,28 +21,76 @@ ProductState = tuple  # (s, q)
 
 @dataclass(frozen=True)
 class ProductGame:
-    """Full product over S x Q; the target is S x F.
+    """Product game over ``S x Q``, computed on demand; the target is ``S x F``.
 
     ``which`` records the labeling used for the automaton updates (1 = true
-    labeling, 2 = perceived labeling).
+    labeling, 2 = perceived labeling); ``step[(q, s)]`` is the automaton state
+    after entering arena state ``s`` from ``q``.  ``states`` lists ``S x Q``
+    with the arena state outermost.  :meth:`successors` gives one state's
+    moves; ``owner``, ``transitions`` and ``target`` are built on first access.
     """
 
     arena: Arena
     dfa: Dfa
     which: int
+    step: dict[tuple[str, StateId], str]
     states: tuple[ProductState, ...]
-    owner: dict[ProductState, int]
-    transitions: dict[ProductState, dict[str, ProductState]]
     initial: ProductState
-    target: frozenset
+
+    def successors(self, v: ProductState) -> dict[str, ProductState]:
+        s, q = v
+        return {a: (dst, self.step[(q, dst)]) for a, dst in self.arena.transitions[s].items()}
+
+    @cached_property
+    def owner(self) -> dict[ProductState, int]:
+        return {v: self.arena.owner[v[0]] for v in self.states}
+
+    @cached_property
+    def transitions(self) -> dict[ProductState, dict[str, ProductState]]:
+        return {v: self.successors(v) for v in self.states}
+
+    @cached_property
+    def target(self) -> frozenset:
+        return frozenset((s, q) for s in self.arena.states for q in self.dfa.accepting)
+
+    def indexed(self) -> IndexedGame:
+        """Int adjacency for the solver: ``(s, q)`` is ``s_index * |Q| + q_index``."""
+        arena, qs = self.arena, self.dfa.states
+        nq = len(qs)
+        s_index = {s: i for i, s in enumerate(arena.states)}
+        q_index = {q: k for k, q in enumerate(qs)}
+        # entry[i] = (index of (s_i, q_0), index of the automaton state after
+        # entering s_i from each q_k)
+        entry = [
+            (i * nq, [q_index[self.step[(q, s)]] for q in qs]) for i, s in enumerate(arena.states)
+        ]
+        moves = [arena.transitions[s] for s in arena.states]
+        succ: list[list[int]] = []
+        for m in moves:
+            dsts = [entry[s_index[dst]] for dst in m.values()]
+            for k in range(nq):
+                succ.append([base + next_q[k] for base, next_q in dsts])
+
+        def index(v: ProductState) -> int:
+            s, q = v
+            return s_index[s] * nq + q_index[q]
+
+        return IndexedGame(
+            states=self.states,
+            succ=succ,
+            p1=bytes(arena.owner[s] == 1 for s in arena.states for _q in qs),
+            index=index,
+            actions=lambda j: tuple(moves[j // nq]),
+        )
 
 
 def build_product(arena: Arena, which: int, d: Dfa) -> ProductGame:
     """Build the product game of ``arena`` under labeling ``which`` with ``d``.
 
-    The construction covers the full S x Q space, not only the reachable part:
-    winning regions are defined over all of S x Q and the hypergame transition
-    system needs arbitrary automaton-state combinations.
+    Only the step table and the state list are built here; the result is a
+    view over the full ``S x Q`` space, not only the reachable part, because
+    winning regions are defined over all of ``S x Q`` and the hypergame
+    transition system needs arbitrary automaton-state combinations.
     """
     if which not in (1, 2):
         raise ValueError(f"which-labeling must be 1 or 2, got {which!r}")
@@ -43,33 +98,17 @@ def build_product(arena: Arena, which: int, d: Dfa) -> ProductGame:
         raise AlphabetError(
             f"DFA alphabet over AP {sorted(d.ap)} does not match arena AP {sorted(arena.ap)}"
         )
-    # Per-arena-state automaton step tables; entering s' consumes L(s').
+    # Entering s' consumes L(s').
     step: dict[tuple[str, StateId], str] = {}
     for s in arena.states:
         label = arena.label(s, which)
         for q in d.states:
             step[(q, s)] = d.delta[(q, label)]
-
-    states: list[ProductState] = []
-    owner: dict[ProductState, int] = {}
-    transitions: dict[ProductState, dict[str, ProductState]] = {}
-    for s in arena.states:
-        for q in d.states:
-            v = (s, q)
-            states.append(v)
-            owner[v] = arena.owner[s]
-            transitions[v] = {
-                a: (dst, step[(q, dst)]) for a, dst in arena.transitions[s].items()
-            }
-    target = frozenset((s, q) for s in arena.states for q in d.accepting)
-    initial = (arena.initial, step[(d.initial, arena.initial)])
     return ProductGame(
         arena=arena,
         dfa=d,
         which=which,
-        states=tuple(states),
-        owner=owner,
-        transitions=transitions,
-        initial=initial,
-        target=target,
+        step=step,
+        states=tuple((s, q) for s in arena.states for q in d.states),
+        initial=(arena.initial, step[(d.initial, arena.initial)]),
     )

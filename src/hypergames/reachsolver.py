@@ -1,21 +1,25 @@
 """Attractor-based solver for two-player turn-based reachability/safety games.
 
-The solver works on any game-graph object exposing ``states``, ``owner``
-(state -> 1 or 2) and ``transitions`` (state -> {action: successor}); arenas,
-product games and hypergame-derived games all share this surface.
+Every solve runs on one private int kernel, :func:`_attractor`: states are the
+indices ``0..n-1``, ``succ[i]`` lists the successor indices of ``i`` (one entry
+per action), ``p1[i]`` is nonzero where P1 owns ``i``, and the search runs
+backward from the seed indices layer by layer, counting outstanding
+successors of each P2 state.  A solve is linear in the number of transitions.
 
-The reaching player is P1.  The attractor is computed with a worklist that
-counts outstanding P2 successors, so a solve is linear in the number of
-transitions.
+A game graph reaches the kernel through an :class:`IndexedGame`.  A graph that
+provides an ``indexed()`` method (the product game) supplies its own int
+adjacency; any other object exposing ``states``, ``owner`` (state -> 1 or 2)
+and ``transitions`` (state -> {action: successor}) is indexed once per call by
+:func:`_index_game`.  The int adjacency is dropped after the call.  Only the
+boundary decode builds state-keyed :class:`Regions` and strategies.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Protocol
+from typing import Callable, Hashable, Iterable, Protocol, Sequence
 
-__all__ = ["GameGraph", "Regions", "Strategy", "solve_reachability"]
+__all__ = ["GameGraph", "IndexedGame", "Regions", "Strategy", "solve_reachability"]
 
 State = Hashable
 
@@ -41,6 +45,65 @@ class Regions:
 Strategy = dict  # state -> chosen action
 
 
+@dataclass(frozen=True)
+class IndexedGame:
+    """A game graph interned to the ints ``0..n-1``, with the way back.
+
+    ``succ[i]`` is aligned with ``actions(i)``: the k-th action of state ``i``
+    leads to ``succ[i][k]``.  ``index`` maps a state to its int and raises
+    ``KeyError``, ``TypeError`` or ``ValueError`` for anything else.
+    """
+
+    states: Sequence[State]
+    succ: list[list[int]]
+    p1: bytes
+    index: Callable[[State], int]
+    actions: Callable[[int], Sequence[str]]
+
+
+def _index_game(game: GameGraph) -> IndexedGame:
+    """Intern any ``states``/``owner``/``transitions`` graph in ``states`` order."""
+    states = tuple(game.states)
+    where = {v: i for i, v in enumerate(states)}
+    moves = [game.transitions[v] for v in states]
+    return IndexedGame(
+        states=states,
+        succ=[[where[dst] for dst in m.values()] for m in moves],
+        p1=bytes(game.owner[v] == 1 for v in states),
+        index=where.__getitem__,
+        actions=lambda i: tuple(moves[i]),
+    )
+
+
+def _attractor(succ: list[list[int]], p1: bytes, seeds: Iterable[int]) -> list[int]:
+    """Attractor level of every state for P1, ``-1`` outside the attractor."""
+    preds: list[list[int]] = [[] for _ in succ]
+    for i, out in enumerate(succ):
+        for j in out:
+            preds[j].append(i)
+    pending = [len(out) for out in succ]  # P2 successors not yet attracted
+    level = [-1] * len(succ)
+    layer = list(seeds)
+    for i in layer:
+        level[i] = 0
+    depth = 0
+    while layer:
+        depth += 1
+        found = []
+        for j in layer:
+            for i in preds[j]:
+                if level[i] >= 0:
+                    continue
+                if not p1[i]:
+                    pending[i] -= 1
+                    if pending[i]:
+                        continue
+                level[i] = depth
+                found.append(i)
+        layer = found
+    return level
+
+
 def solve_reachability(
     game: GameGraph, target: Iterable[State]
 ) -> tuple[Regions, Strategy, Strategy]:
@@ -51,57 +114,38 @@ def solve_reachability(
     the target; P2's strategy stays inside win2 at every win2 state she owns.
     Ties are broken by the lexicographically smallest action identifier.
     """
-    state_set = set(game.states)
-    target = set(target)
-    unknown = target - state_set
+    indexed = getattr(game, "indexed", None)
+    g = indexed() if indexed is not None else _index_game(game)
+    seeds: set[int] = set()
+    unknown = []
+    for v in target:
+        try:
+            seeds.add(g.index(v))
+        except (KeyError, TypeError, ValueError):
+            unknown.append(v)
     if unknown:
         raise ValueError(f"target contains unknown states: {sorted(map(repr, unknown))[:3]}")
+    return _decode(g, _attractor(g.succ, g.p1, seeds))
 
-    preds: dict[State, list[tuple[State, str]]] = {s: [] for s in game.states}
-    out_count: dict[State, int] = {}
-    for s in game.states:
-        succs = game.transitions[s]
-        out_count[s] = len(succs)
-        for a, dst in succs.items():
-            preds[dst].append((s, a))
 
-    level: dict[State, int] = {s: 0 for s in target}
-    attractor = set(target)
-    pending = dict(out_count)  # P2 successors not yet known to be attracted
-    queue = deque((s, 0) for s in target)
-    while queue:
-        v, lv = queue.popleft()
-        for s, _a in preds[v]:
-            if s in attractor:
-                continue
-            if game.owner[s] == 1:
-                attractor.add(s)
-                level[s] = lv + 1
-                queue.append((s, lv + 1))
-            else:
-                pending[s] -= 1
-                if pending[s] == 0:
-                    attractor.add(s)
-                    level[s] = lv + 1
-                    queue.append((s, lv + 1))
-
-    win1 = frozenset(attractor)
-    win2 = frozenset(state_set - attractor)
-
+def _decode(g: IndexedGame, level: list[int]) -> tuple[Regions, Strategy, Strategy]:
+    """State-keyed regions and min-action strategies from the kernel's levels."""
+    states, succ, p1, actions = g.states, g.succ, g.p1, g.actions
+    ranks: dict = {}
+    lost = []
     strat1: Strategy = {}
-    for s in win1 - target:
-        if game.owner[s] != 1:
-            continue
-        best = min(
-            a for a, dst in game.transitions[s].items()
-            if dst in win1 and level[dst] < level[s]
-        )
-        strat1[s] = best
     strat2: Strategy = {}
-    for s in win2:
-        if game.owner[s] != 2 or not game.transitions[s]:
-            continue
-        best = min(a for a, dst in game.transitions[s].items() if dst in win2)
-        strat2[s] = best
-
-    return Regions(win1=win1, win2=win2, level=level), strat1, strat2
+    for i, lv in enumerate(level):
+        v = states[i]
+        if lv >= 0:
+            ranks[v] = lv
+            if lv and p1[i]:
+                strat1[v] = min(
+                    a for a, j in zip(actions(i), succ[i]) if 0 <= level[j] < lv
+                )
+        else:
+            lost.append(v)
+            if not p1[i] and succ[i]:
+                strat2[v] = min(a for a, j in zip(actions(i), succ[i]) if level[j] < 0)
+    regions = Regions(win1=frozenset(ranks), win2=frozenset(lost), level=ranks)
+    return regions, strat1, strat2

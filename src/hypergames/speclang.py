@@ -181,6 +181,11 @@ def atoms_of(f: Formula) -> frozenset[str]:
 
 _RESERVED = {"true", "false", "X", "U", "F"}
 
+# Deepest nesting of parentheses, ``X``, ``F`` and right operands of ``U`` the
+# parser accepts.  The parser and the compiler recurse once or more per level,
+# so the cap keeps both well inside Python's default recursion limit.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Return (kind, value, position) triples; kinds: name, op, lparen, rparen."""
@@ -218,6 +223,7 @@ class _Parser:
         self.ap = frozenset(ap)
         self.pos = 0
         self.length = len(text)
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -231,6 +237,15 @@ class _Parser:
         tok = self.peek()
         position = tok[2] if tok is not None else self.length
         return FormulaSyntaxError(message, position, expected)
+
+    def nested(self, parse_operand) -> Formula:
+        """``parse_operand()`` one nesting level deeper, within :data:`MAX_NESTING`."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"formula nests deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        operand = parse_operand()
+        self.depth -= 1
+        return operand
 
     def parse(self) -> Formula:
         f = self.parse_or()
@@ -266,7 +281,7 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok[0] == "name" and tok[1] == "U":
             self.advance()
-            rhs = self.parse_until()  # right-associative
+            rhs = self.nested(self.parse_until)  # right-associative
             return Until(lhs, rhs)
         return lhs
 
@@ -277,7 +292,7 @@ class _Parser:
         kind, value, position = tok
         if kind == "lparen":
             self.advance()
-            inner = self.parse_or()
+            inner = self.nested(self.parse_or)
             closing = self.peek()
             if closing is None or closing[0] != "rparen":
                 raise self.error("unbalanced parenthesis", [")"])
@@ -299,9 +314,9 @@ class _Parser:
             if value == "false":
                 return BOTTOM
             if value == "X":
-                return Next(self.parse_unary())
+                return Next(self.nested(self.parse_unary))
             if value == "F":
-                return Eventually(self.parse_unary())
+                return Eventually(self.nested(self.parse_unary))
             if value == "U":
                 raise self.error("'U' is a binary operator", ["formula"])
             if value not in self.ap:

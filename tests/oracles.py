@@ -13,6 +13,7 @@ from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from hypergames.almostsure import StochasticGame, pre_step
+from hypergames.reachsolver import Regions
 from hypergames.speclang import (
     And,
     Atom,
@@ -97,6 +98,65 @@ def attractor_oracle(game, target: Iterable) -> frozenset:
                 added = True
         if not added:
             return frozenset(attr)
+
+
+def dict_attractor_oracle(game, target: Iterable) -> tuple[Regions, dict, dict]:
+    """``(regions, strat1, strat2)`` by a worklist attractor over state-keyed dicts.
+
+    A predecessor list and a pending count of P2 successors per state, in
+    dicts keyed by the states themselves; P1 decreases the level outside the
+    target and P2 stays in win2, both with the smallest action.
+    """
+    state_set = set(game.states)
+    target = set(target)
+    unknown = target - state_set
+    if unknown:
+        raise ValueError(f"target contains unknown states: {sorted(map(repr, unknown))[:3]}")
+
+    preds: dict = {s: [] for s in game.states}
+    out_count: dict = {}
+    for s in game.states:
+        succs = game.transitions[s]
+        out_count[s] = len(succs)
+        for a, dst in succs.items():
+            preds[dst].append((s, a))
+
+    level = {s: 0 for s in target}
+    attractor = set(target)
+    pending = dict(out_count)
+    queue = deque((s, 0) for s in target)
+    while queue:
+        v, lv = queue.popleft()
+        for s, _a in preds[v]:
+            if s in attractor:
+                continue
+            if game.owner[s] == 1:
+                attractor.add(s)
+                level[s] = lv + 1
+                queue.append((s, lv + 1))
+            else:
+                pending[s] -= 1
+                if pending[s] == 0:
+                    attractor.add(s)
+                    level[s] = lv + 1
+                    queue.append((s, lv + 1))
+
+    win1 = frozenset(attractor)
+    win2 = frozenset(state_set - attractor)
+    strat1 = {}
+    for s in win1 - target:
+        if game.owner[s] != 1:
+            continue
+        strat1[s] = min(
+            a for a, dst in game.transitions[s].items()
+            if dst in win1 and level[dst] < level[s]
+        )
+    strat2 = {}
+    for s in win2:
+        if game.owner[s] != 2 or not game.transitions[s]:
+            continue
+        strat2[s] = min(a for a, dst in game.transitions[s].items() if dst in win2)
+    return Regions(win1=win1, win2=win2, level=level), strat1, strat2
 
 
 def reachable_oracle(transitions, start) -> frozenset:

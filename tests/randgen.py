@@ -160,3 +160,11 @@ def corridor_input(n: int) -> HypergameInput:
         label_perceived={trap: frozenset({"a"})},
     )
     return HypergameInput(arena=arena, objective=parse_formula("F a", arena.ap), objective_text="F a")
+
+
+def oracle_cases(running_input: HypergameInput):
+    """The running example, 60 ``small_hypergame_input`` seeds and a 200-state corridor."""
+    yield running_input
+    for seed in range(60):
+        yield small_hypergame_input(random.Random(seed))
+    yield corridor_input(200)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hypergames.cli import RunConfig, export_dot, main, run
+from hypergames.cli import RunConfig, build_report, export_dot, main, run, synthesize
 
 from conftest import SCENARIO
 
@@ -115,7 +115,12 @@ def test_dot_bytes_pinned(running_bundle):
     from hypergames.hypergame import build_restricted_game
 
     full = build_restricted_game(running_bundle.hts, running_bundle.sr, reachable_only=False)
+    arena_regions = {
+        "true_win": running_bundle.arena_regions_true.win1,
+        "perceived_win": running_bundle.arena_regions_perceived.win1,
+    }
     for graph, regions, name in (
+        (running_bundle.inp.arena, arena_regions, "running_example_arena.dot"),
         (running_bundle.stochastic, None, "running_example_stochastic.dot"),
         (full, running_bundle.sure_regions, "running_example_full_restricted.dot"),
     ):
@@ -141,6 +146,33 @@ def test_unbounded_residuals_exit_code(tmp_path, capsys):
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_deep_formula_exit_code(tmp_path, capsys):
+    # A formula nested past the parser's cap is an input error (exit 1), not
+    # a RecursionError traceback from the recursive-descent parser.
+    document = json.loads(SCENARIO.read_text())
+    document["objective"] = {"formula": "X " * 2000 + "A"}
+    scenario = tmp_path / "deep_next.json"
+    scenario.write_text(json.dumps(document))
+    status = main([str(scenario), "--mode", "sure"])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.err.startswith("error: ")
+    assert "nests deeper" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_arena_regions_solved_on_demand(running_input):
+    bundle = synthesize(running_input)
+    build_report(bundle, RunConfig(str(SCENARIO), "sure"))
+    lazy = {"arena_regions_true", "arena_regions_perceived"}
+    # a cached property is stored in the instance dict on first access
+    assert not lazy & set(vars(bundle))
+    report = build_report(bundle, RunConfig(str(SCENARIO), "perceptual"))
+    assert lazy <= set(vars(bundle))
+    assert report["arena_level"]["true"]["win1"] == [5, 6, 7]
 
 
 def test_full_space_flag(tmp_path, capsys):

@@ -15,7 +15,7 @@ from hypergames.arena import HypergameInput
 from hypergames.speclang import parse_formula
 
 from oracles import eager_restricted_game_oracle
-from randgen import corridor_input, random_arena, small_hypergame_input
+from randgen import oracle_cases, random_arena
 
 GOLDEN_FRAGMENT = {
     (0, "q0", "q0"),
@@ -138,19 +138,12 @@ class TestRestrictedGame:
             assert running_bundle.restricted.owner[v] == 1
 
 
-def _lazy_build_cases(running_input):
-    yield running_input
-    for seed in range(60):
-        yield small_hypergame_input(random.Random(seed))
-    yield corridor_input(200)
-
-
 class TestAgainstEagerBuild:
     """The lazy HTS and the one-search restricted game against the eager build."""
 
     @pytest.mark.parametrize("reachable_only", [True, False])
     def test_same_restricted_game(self, running_input, reachable_only):
-        for inp in _lazy_build_cases(running_input):
+        for inp in oracle_cases(running_input):
             bundle = synthesize(inp)
             hts = build_hts(inp, bundle.dfa, bundle.regions_true)
             rg = build_restricted_game(hts, bundle.sr, reachable_only=reachable_only)
@@ -165,7 +158,7 @@ class TestAgainstEagerBuild:
             assert rg.initial == expected.initial
 
     def test_same_whole_space_views(self, running_input):
-        for inp in _lazy_build_cases(running_input):
+        for inp in oracle_cases(running_input):
             bundle = synthesize(inp)
             expected, _ = eager_restricted_game_oracle(
                 inp, bundle.dfa, bundle.regions_true, bundle.sr

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from hypergames.arena import HypergameInput
+from hypergames.cli import synthesize
 from hypergames.product import build_product
 from hypergames.speclang import AlphabetError, compile_to_dfa, parse_formula
 
@@ -57,3 +59,35 @@ def test_product_transitions_mirror_arena(seed):
             for a, (s2, q2) in moves.items():
                 assert arena.transitions[s][a] == s2
                 assert d.delta[(q, arena.label(s2, which))] == q2
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_views_match_eager_build(seed):
+    rng = random.Random(seed)
+    arena = random_arena(rng, max_states=12)
+    d = random_dfa(rng, arena.ap)
+    for which in (1, 2):
+        prod = build_product(arena, which, d)
+        states = [(s, q) for s in arena.states for q in d.states]
+        step = {
+            (q, s): d.delta[(q, arena.label(s, which))] for s in arena.states for q in d.states
+        }
+        assert prod.states == tuple(states)  # order included
+        assert prod.owner == {(s, q): arena.owner[s] for s, q in states}
+        assert prod.transitions == {
+            (s, q): {a: (dst, step[(q, dst)]) for a, dst in arena.transitions[s].items()}
+            for s, q in states
+        }
+        assert prod.target == {(s, q) for s, q in states if q in d.accepting}
+        assert prod.initial == (arena.initial, step[(d.initial, arena.initial)])
+
+
+def test_synthesize_builds_no_product_dicts():
+    rng = random.Random(3)
+    arena = random_arena(rng, max_states=300, min_states=300, ap=("a", "b", "c"))
+    text = "F a & F b & F c"
+    bundle = synthesize(HypergameInput(arena, parse_formula(text, arena.ap), text))
+    assert len(bundle.dfa.states) == 8
+    for prod in (bundle.product_true, bundle.product_perceived):
+        # a cached view is stored in the instance dict on first access
+        assert not {"owner", "transitions"} & set(vars(prod))

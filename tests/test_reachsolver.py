@@ -1,13 +1,16 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypergames.cli import synthesize
+from hypergames.hypergame import build_hts, build_restricted_game
 from hypergames.reachsolver import solve_reachability
 
-from oracles import attractor_oracle
-from randgen import random_arena
+from oracles import attractor_oracle, dict_attractor_oracle
+from randgen import oracle_cases, random_arena
 
 
 def test_running_example_true_target(running_input, running_bundle):
@@ -72,3 +75,65 @@ def test_strategies_are_winning_and_spoiling(seed):
     for s in regions.win2:
         if arena.owner[s] == 1:
             assert all(d in regions.win2 for d in arena.transitions[s].values())
+
+
+def _assert_same_solution(game, target):
+    regions, strat1, strat2 = solve_reachability(game, target)
+    expected, exp1, exp2 = dict_attractor_oracle(game, target)
+    assert regions.win1 == expected.win1
+    assert regions.win2 == expected.win2
+    assert regions.level == expected.level
+    assert strat1 == exp1
+    assert strat2 == exp2
+
+
+class TestAgainstDictOracle:
+    """The int kernel and its decode against the state-keyed worklist solver."""
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=150, deadline=None)
+    def test_random_arenas(self, seed):
+        rng = random.Random(seed)
+        arena = random_arena(rng, max_states=25)
+        target = {s for s in arena.states if rng.random() < 0.2}
+        _assert_same_solution(arena, target)
+
+    def test_products(self, running_input):
+        for inp in oracle_cases(running_input):
+            bundle = synthesize(inp)
+            for product in (bundle.product_true, bundle.product_perceived):
+                _assert_same_solution(product, product.target)
+
+    @pytest.mark.parametrize("reachable_only", [True, False])
+    def test_restricted_games(self, running_input, reachable_only):
+        for inp in oracle_cases(running_input):
+            bundle = synthesize(inp)
+            hts = build_hts(inp, bundle.dfa, bundle.regions_true)
+            rg = build_restricted_game(hts, bundle.sr, reachable_only=reachable_only)
+            _assert_same_solution(rg, rg.target)
+
+    def test_parallel_edges_and_dead_ends(self):
+        # P2 at "b" has two actions into the target and must wait for both;
+        # "c" (P2) and "d" (P1) have no moves and are never attracted.
+        game = SimpleNamespace(
+            states=("a", "b", "c", "d", "t"),
+            owner={"a": 1, "b": 2, "c": 2, "d": 1, "t": 1},
+            transitions={
+                "a": {"x": "b", "y": "d"},
+                "b": {"x": "t", "y": "t"},
+                "c": {},
+                "d": {},
+                "t": {"x": "c"},
+            },
+        )
+        _assert_same_solution(game, {"t"})
+        regions, strat1, strat2 = solve_reachability(game, {"t"})
+        assert regions.level == {"t": 0, "b": 1, "a": 2}
+        assert strat1 == {"a": "x"}
+        assert strat2 == {}
+
+    def test_unknown_product_target_rejected(self, running_bundle):
+        product = running_bundle.product_true
+        for bad in ((99, "q0"), (0, "q9"), 0, (0, "q0", "q0")):
+            with pytest.raises(ValueError, match="unknown"):
+                solve_reachability(product, {bad})

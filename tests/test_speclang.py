@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hypergames.speclang import (
     BOTTOM,
+    MAX_NESTING,
     TOP,
     And,
     Atom,
@@ -68,6 +69,19 @@ class TestParser:
     def test_syntax_errors(self, text):
         with pytest.raises(FormulaSyntaxError):
             parse_formula(text, AP)
+
+    def test_nesting_cap(self):
+        # the recursive-descent parser would overflow the stack long before
+        # X x 1000; the explicit cap turns that into a syntax error
+        with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+            parse_formula("X " * 1000 + "a", {"a"})
+        for n, fits in ((MAX_NESTING, True), (MAX_NESTING + 1, False)):
+            for text in ("X " * n + "a", "(" * n + "a" + ")" * n, " U ".join(["a"] * (n + 1))):
+                if fits:
+                    parse_formula(text, {"a"})
+                else:
+                    with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+                        parse_formula(text, {"a"})
 
     def test_error_position_reported(self):
         with pytest.raises(FormulaSyntaxError) as exc:
