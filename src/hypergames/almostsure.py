@@ -9,71 +9,94 @@ the classic almost-sure reachability algorithm for MDPs (de Alfaro 1997;
 Chatterjee & Henzinger, SODA 2011): each outer round runs one backward
 breadth-first search from the target over the candidate region ``X`` and
 shrinks ``X`` to what it found.  A round is linear in the edges of the
-restricted game, and the search layer of a state is its level.
+restricted game, and the search layer of a state is its level.  The game is a
+view of the restricted game, and the solve runs on its int graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import Iterable
 
 from .hypergame import Hts, HtsState, RestrictedGame
+from .reachsolver import predecessors
 
 __all__ = ["StochasticGame", "AswResult", "build_stochastic_game", "pre_step", "solve_asw"]
 
 
 @dataclass(frozen=True)
 class StochasticGame:
-    """One-player stochastic game over HTS states.
+    """One-player stochastic game over HTS states, a view of a restricted game.
 
-    ``choice_actions`` holds P1's available actions at his non-target states;
-    ``chance_actions`` holds the adversary's rationalizable actions at her
-    non-target states (probabilities are known only to be positive, so just
-    the support matters).  Target states are absorbing and carry a synthetic
-    self-loop support.
+    P1's non-target states are choice states; the adversary's non-target
+    states are chance states, whose probabilities are known only to be
+    positive, so just the support matters; target states are absorbing.  The
+    solve and the simulator read the restricted game's int graph.  The
+    state-keyed views ``choice_actions`` (P1's moves at his choice states),
+    ``chance_actions`` (the adversary's rationalizable moves at her chance
+    states) and ``support`` (successors of a chance state, a synthetic
+    self-loop at a target state) are built on first access and share the
+    restricted game's move dicts.
     """
 
-    hts: Hts
-    states: tuple[HtsState, ...]
-    choice_actions: dict[HtsState, dict[str, HtsState]]
-    chance_actions: dict[HtsState, dict[str, HtsState]]
-    support: dict[HtsState, frozenset]
-    initial: HtsState
-    target: frozenset
+    restricted: RestrictedGame
+
+    @property
+    def hts(self) -> Hts:
+        return self.restricted.hts
+
+    @property
+    def states(self) -> tuple[HtsState, ...]:
+        return self.restricted.states
+
+    @property
+    def initial(self) -> HtsState:
+        return self.restricted.initial
+
+    @property
+    def target(self) -> frozenset:
+        return self.restricted.target
+
+    def _moves(self, owned_by_p1: bool) -> dict[HtsState, dict[str, HtsState]]:
+        rg = self.restricted
+        return {
+            v: rg.transitions[v]
+            for v, owned, goal in zip(rg.states, rg.p1, rg.at_target)
+            if bool(owned) == owned_by_p1 and not goal
+        }
+
+    @cached_property
+    def choice_actions(self) -> dict[HtsState, dict[str, HtsState]]:
+        return self._moves(True)
+
+    @cached_property
+    def chance_actions(self) -> dict[HtsState, dict[str, HtsState]]:
+        return self._moves(False)
+
+    @cached_property
+    def support(self) -> dict[HtsState, frozenset]:
+        rg = self.restricted
+        out: dict[HtsState, frozenset] = {}
+        for v, owned, goal in zip(rg.states, rg.p1, rg.at_target):
+            if goal:
+                out[v] = frozenset({v})  # sink
+            elif not owned:
+                out[v] = frozenset(rg.transitions[v].values())
+        return out
 
     def is_choice(self, v: HtsState) -> bool:
         return v in self.choice_actions
 
 
 def build_stochastic_game(rg: RestrictedGame) -> StochasticGame:
-    """View the restricted game as a one-player stochastic game.
+    """View the restricted game as a one-player stochastic game, in O(1).
 
     The state space is the restricted game's own (its reachable fragment, or
-    the full S x Q x Q space when it was built that way).  The action maps
-    are the restricted game's move dicts, shared rather than copied; neither
-    side mutates them.
+    the full S x Q x Q space when it was built that way).
     """
-    choice_actions: dict[HtsState, dict[str, HtsState]] = {}
-    chance_actions: dict[HtsState, dict[str, HtsState]] = {}
-    support: dict[HtsState, frozenset] = {}
-    for v in rg.states:
-        moves = rg.transitions[v]
-        if v in rg.target:
-            support[v] = frozenset({v})  # sink
-        elif rg.owner[v] == 1:
-            choice_actions[v] = moves
-        else:
-            chance_actions[v] = moves
-            support[v] = frozenset(moves.values())
-    return StochasticGame(
-        hts=rg.hts,
-        states=rg.states,
-        choice_actions=choice_actions,
-        chance_actions=chance_actions,
-        support=support,
-        initial=rg.initial,
-        target=rg.target,
-    )
+    return StochasticGame(restricted=rg)
 
 
 def pre_step(Y: Iterable[HtsState], X: Iterable[HtsState], g: StochasticGame) -> set:
@@ -126,48 +149,61 @@ class AswResult:
 def solve_asw(g: StochasticGame) -> AswResult:
     """Almost-sure winning region by repeated backward search.
 
-    Each outer round searches backward from the target inside the candidate
-    region ``X``: a choice state is admitted on any edge into the found set,
-    a chance state only if its whole support lies in ``X``.  ``X`` shrinks to
-    the found set until a round finds all of it.  The strategy maps every P1
-    choice state of ``X`` outside the target to the lexicographically
-    smallest action whose successor has a lower level; inside the target it
-    is undefined, P1 having switched to his true winning strategy.
+    Runs on the restricted game's int graph.  Each outer round searches
+    backward from the target inside the candidate region ``X``: a choice
+    state is admitted on any edge into the found set, a chance state only if
+    its whole support lies in ``X``.  ``X`` shrinks to the found set until a
+    round finds all of it.  The strategy maps every P1 choice state of ``X``
+    outside the target to the lexicographically smallest action whose
+    successor has a lower level; inside the target it is undefined, P1 having
+    switched to his true winning strategy.  Only the result is decoded to
+    states.
     """
-    preds: dict[HtsState, list[HtsState]] = {}
-    for v, actions in g.choice_actions.items():
-        for dst in actions.values():
-            preds.setdefault(dst, []).append(v)
-    for v in g.chance_actions:
-        for dst in g.support[v]:
-            preds.setdefault(dst, []).append(v)
-
-    x = set(g.states)
-    # Chance states with part of their support outside x; x only shrinks.
-    blocked = {v for v in g.chance_actions if not g.support[v] <= x}
+    rg = g.restricted
+    succ, p1, at_target = rg.succ, rg.p1, rg.at_target
+    n = len(succ)
+    # The target is absorbing: its own moves lead nowhere.
+    start, flat = predecessors([() if goal else out for out, goal in zip(succ, at_target)])
+    targets = list(compress(range(n), at_target))
+    on_target = [-1] * n
+    for i in targets:
+        on_target[i] = 0
+    x = set(range(n)).difference(targets)  # X less the target, which never leaves X
+    # live[i]: i is in X and, if it is a chance state, so is its whole support
+    live = bytearray(b"\x01") * n
     while True:
-        level = {v: 0 for v in g.target if v in x}
-        frontier = list(level)
+        level = on_target.copy()
+        reached: list[int] = []
+        frontier = targets
         depth = 0
         while frontier:
             depth += 1
             found = []
-            for u in frontier:
-                for v in preds.get(u, ()):
-                    if v not in level and v in x and v not in blocked:
-                        level[v] = depth
-                        found.append(v)
+            for j in frontier:
+                for i in flat[start[j]:start[j + 1]]:
+                    if level[i] < 0 and live[i]:
+                        level[i] = depth
+                        found.append(i)
+            reached += found
             frontier = found
-        if len(level) == len(x):
+        if len(reached) == len(x):
             break
-        dropped = x.difference(level)
+        dropped = x.difference(reached)
         x.difference_update(dropped)
-        for u in dropped:
-            blocked.update(v for v in preds.get(u, ()) if v in g.chance_actions)
+        for j in dropped:
+            live[j] = 0
+            for i in flat[start[j]:start[j + 1]]:
+                if not p1[i]:
+                    live[i] = 0
 
+    states, names = rg.states, rg.names
+    level_of: dict[HtsState, int] = {}
     strategy: dict[HtsState, str] = {}
-    for v, actions in g.choice_actions.items():
-        rank = level.get(v)
-        if rank:  # in X and outside the target
-            strategy[v] = min(a for a, dst in actions.items() if level.get(dst, rank) < rank)
-    return AswResult(x_star=frozenset(x), level=level, strategy=strategy)
+    for i, rank in enumerate(level):
+        if rank < 0:
+            continue
+        v = states[i]
+        level_of[v] = rank
+        if rank and p1[i]:  # a choice state of X
+            strategy[v] = min(a for a, j in zip(names[i], succ[i]) if 0 <= level[j] < rank)
+    return AswResult(x_star=frozenset(level_of), level=level_of, strategy=strategy)

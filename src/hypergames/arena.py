@@ -20,13 +20,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping
 
 from . import speclang
+from .reachsolver import IndexedGame
 from .speclang import Dfa, Formula
 
 __all__ = [
+    "Adjacency",
     "Arena",
     "HypergameInput",
     "ArenaFormatError",
@@ -46,6 +49,21 @@ class ArenaFormatError(ValueError):
 
 
 @dataclass(frozen=True)
+class Adjacency:
+    """An arena's moves over the state indices ``0..|S|-1`` of ``Arena.states``.
+
+    ``where`` maps a state to its index; the k-th action ``names[i][k]`` of
+    state ``i`` leads to ``succ[i][k]``; ``p1[i]`` is nonzero where P1 owns
+    ``i``.
+    """
+
+    where: dict[StateId, int]
+    succ: list[list[int]]
+    names: list[tuple[str, ...]]
+    p1: bytes
+
+
+@dataclass(frozen=True)
 class Arena:
     states: tuple[StateId, ...]
     owner: dict[StateId, int]
@@ -58,6 +76,28 @@ class Arena:
     def label(self, s: StateId, which: int) -> frozenset[str]:
         table = self.label_true if which == P1 else self.label_perceived
         return table.get(s, frozenset())
+
+    @cached_property
+    def adjacency(self) -> Adjacency:
+        """The int adjacency, built once per arena and shared by every game over it."""
+        where = {s: i for i, s in enumerate(self.states)}
+        moves = [self.transitions[s] for s in self.states]
+        return Adjacency(
+            where=where,
+            succ=[[where[dst] for dst in m.values()] for m in moves],
+            names=[tuple(m) for m in moves],
+            p1=bytes(self.owner[s] == P1 for s in self.states),
+        )
+
+    def indexed(self) -> IndexedGame:
+        adj = self.adjacency
+        return IndexedGame(
+            states=self.states,
+            succ=adj.succ,
+            p1=adj.p1,
+            index=adj.where.__getitem__,
+            actions=adj.names.__getitem__,
+        )
 
 
 @dataclass(frozen=True)

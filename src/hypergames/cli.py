@@ -214,29 +214,22 @@ def export_dot(graph, regions=None, path: str | Path | None = None) -> str:
     Restricted-game edges removed from the HTS are drawn dashed red and
     states unreachable from the initial state are dashed.
     """
-    if isinstance(graph, Arena):
-        states = list(graph.states)
-        owner = graph.owner
-        transitions = graph.transitions
-        initial = graph.initial
-        removed: dict = {}
-        chance: frozenset = frozenset()
-    elif isinstance(graph, almostsure.StochasticGame):
-        states = list(graph.states)
-        transitions = {
-            v: graph.choice_actions.get(v, graph.chance_actions.get(v, {})) for v in states
-        }
-        owner = {v: graph.hts.arena.owner[v[0]] for v in states}
-        initial = graph.initial
-        removed = {}
-        chance = frozenset(graph.chance_actions)
-    else:  # ProductGame, Hts, RestrictedGame share the game-graph surface
-        states = list(graph.states)
-        owner = graph.owner
-        transitions = graph.transitions
-        initial = graph.initial
+    absorbing = None
+    if isinstance(graph, almostsure.StochasticGame):
+        # Drawn as its restricted game with the target absorbing and the
+        # adversary's other states marked as chance nodes.
+        graph, absorbing = graph.restricted, graph.target
+    states = graph.states
+    owner = graph.owner
+    transitions = graph.transitions
+    initial = graph.initial
+    if absorbing is None:
         removed = getattr(graph, "removed", {})
-        chance = frozenset()
+        chance: frozenset = frozenset()
+    else:
+        transitions = {v: {} if v in absorbing else transitions[v] for v in states}
+        removed = {}
+        chance = frozenset(v for v in states if owner[v] == 2 and v not in absorbing)
 
     fills: dict[Any, str] = {}
     if isinstance(regions, Regions):

@@ -8,6 +8,11 @@ deceptively by steering the play into the deception target while using only
 actions the adversary considers rational in her own perceptual game; once
 there he abandons stealth and follows his true winning strategy.
 
+The restricted game comes out of one forward search over int-coded triples
+as an int graph, which the sure solve, the almost-sure solve and the
+simulator all read; its state-keyed dicts are views built only when
+something reads them.
+
 Two deliberate modeling choices (both match the worked example the golden
 tests pin down):
 
@@ -23,12 +28,14 @@ tests pin down):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from .arena import Arena, HypergameInput, StateId
 from .product import ProductGame
-from .reachsolver import Regions, Strategy, solve_reachability
+from .reachsolver import IndexedGame, Regions, Strategy, solve_indexed
 from .speclang import Dfa
 
 __all__ = [
@@ -111,22 +118,43 @@ def build_sr_map(product2: ProductGame, regions2: Regions) -> SrActionMap:
 class Hts:
     """Hypergame transition system over ``S x Q x Q``, computed on demand.
 
-    ``step1[(q, s)]`` / ``step2[(q, s)]`` is the true / perceived automaton
-    state after entering arena state ``s`` from ``q``.  :meth:`successors`
+    A triple ``(s, q, p)`` has the int code ``i·|Q|² + j·|Q| + k``, where
+    ``i``, ``j`` and ``k`` are the indices of ``s`` in ``arena.states`` and of
+    ``q`` and ``p`` in ``dfa.states``; codes sort in ``states`` order.
+    ``next1[i][j]`` / ``next2[i][j]`` is the index of the true / perceived
+    automaton state after entering arena state ``i`` from automaton state
+    ``j``; arena states with the same label share one row.  :meth:`successors`
     gives one triple's moves; the whole-space views are built on first access.
     """
 
     arena: Arena
     dfa: Dfa
-    step1: dict[tuple[str, StateId], str]
-    step2: dict[tuple[str, StateId], str]
+    next1: list[list[int]]
+    next2: list[list[int]]
     initial: HtsState
     robust_win: frozenset  # arena states winning in the true product for every q
 
+    @cached_property
+    def q_index(self) -> dict[str, int]:
+        return {q: j for j, q in enumerate(self.dfa.states)}
+
+    def code(self, v: HtsState) -> int:
+        """The int code of ``v``; ``KeyError``, ``TypeError`` or ``ValueError`` if
+        ``v`` is no triple of this HTS."""
+        s, q, p = v
+        q_index = self.q_index
+        nq = len(q_index)
+        return (self.arena.adjacency.where[s] * nq + q_index[q]) * nq + q_index[p]
+
     def successors(self, v: HtsState) -> dict[str, HtsState]:
         s, q, p = v
-        moves = self.arena.transitions[s].items()
-        return {a: (dst, self.step1[(q, dst)], self.step2[(p, dst)]) for a, dst in moves}
+        adj, qs = self.arena.adjacency, self.dfa.states
+        i, j, k = adj.where[s], self.q_index[q], self.q_index[p]
+        dsts = self.arena.states
+        return {
+            a: (dsts[d], qs[self.next1[d][j]], qs[self.next2[d][k]])
+            for a, d in zip(adj.names[i], adj.succ[i])
+        }
 
     @cached_property
     def states(self) -> tuple[HtsState, ...]:
@@ -176,23 +204,31 @@ def build_hts(inp: HypergameInput, d: Dfa, win11: Regions) -> Hts:
     arena and DFA.  The target collects every triple whose arena component is
     robustly sure-winning in that product.
     """
-    arena = inp.arena
-    step1: dict[tuple[str, StateId], str] = {}
-    step2: dict[tuple[str, StateId], str] = {}
+    arena, qs = inp.arena, d.states
+    q_index = {q: j for j, q in enumerate(qs)}
+    rows: dict[frozenset, list[int]] = {}  # label -> next automaton state per q
+
+    def row(label: frozenset) -> list[int]:
+        out = rows.get(label)
+        if out is None:
+            out = rows[label] = [q_index[d.delta[(q, label)]] for q in qs]
+        return out
+
+    next1: list[list[int]] = []
+    next2: list[list[int]] = []
     for s in arena.states:
-        l1, l2 = arena.label(s, 1), arena.label(s, 2)
-        for q in d.states:
+        for q in qs:
             if (s, q) not in win11:
                 raise ValueError(f"true-product regions do not cover {(s, q)!r}")
-            step1[(q, s)] = d.delta[(q, l1)]
-            step2[(q, s)] = d.delta[(q, l2)]
-    s0 = arena.initial
+        next1.append(row(arena.label(s, 1)))
+        next2.append(row(arena.label(s, 2)))
+    i0, j0 = arena.adjacency.where[arena.initial], q_index[d.initial]
     return Hts(
         arena=arena,
         dfa=d,
-        step1=step1,
-        step2=step2,
-        initial=(s0, step1[(d.initial, s0)], step2[(d.initial, s0)]),
+        next1=next1,
+        next2=next2,
+        initial=(arena.initial, qs[next1[i0][j0]], qs[next2[i0][j0]]),
         robust_win=robust_winning_states(arena, d, win11),
     )
 
@@ -201,18 +237,69 @@ def build_hts(inp: HypergameInput, d: Dfa, win11: Regions) -> Hts:
 class RestrictedGame:
     """HTS with both players confined to subjectively-rationalizable actions.
 
-    Absent entries of ``transitions`` encode undefined moves; ``removed``
-    keeps them for inspection and graph export.
+    The game is held as an int graph over the positions ``0..n-1`` of
+    ``states``, which are sorted by their HTS code (``codes``): the kept
+    actions ``names[i]`` of position ``i`` lead to the positions ``succ[i]``,
+    ``p1[i]`` is nonzero where P1 owns it and ``at_target[i]`` where it lies in
+    ``target``.  Every solve reads this graph.  ``owner``, ``transitions`` and
+    ``removed`` (the pruned moves, for inspection and graph export) are
+    state-keyed views built on first access; absent entries of
+    ``transitions`` encode undefined moves.
     """
 
     hts: Hts
     states: tuple[HtsState, ...]
-    owner: dict[HtsState, int]
-    transitions: dict[HtsState, dict[str, HtsState]]
-    removed: dict[HtsState, dict[str, HtsState]]
     initial: HtsState
     target: frozenset
     reachable_only: bool
+    codes: list[int]
+    succ: list[list[int]]
+    names: list[tuple[str, ...]]
+    p1: bytes
+    at_target: bytes
+
+    def position(self, v: HtsState) -> int:
+        """Index of ``v`` in ``states``; ``KeyError`` if it is not there."""
+        try:
+            code = self.hts.code(v)
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(v) from None
+        i = bisect_left(self.codes, code)
+        if i == len(self.codes) or self.codes[i] != code:
+            raise KeyError(v)
+        return i
+
+    def indexed(self) -> IndexedGame:
+        return IndexedGame(
+            states=self.states,
+            succ=self.succ,
+            p1=self.p1,
+            index=self.position,
+            actions=self.names.__getitem__,
+        )
+
+    @cached_property
+    def owner(self) -> dict[HtsState, int]:
+        return {v: 1 if owned else 2 for v, owned in zip(self.states, self.p1)}
+
+    @cached_property
+    def transitions(self) -> dict[HtsState, dict[str, HtsState]]:
+        states = self.states
+        return {
+            v: {a: states[j] for a, j in zip(names, out)}
+            for v, names, out in zip(states, self.names, self.succ)
+        }
+
+    @cached_property
+    def removed(self) -> dict[HtsState, dict[str, HtsState]]:
+        every = self.hts.arena.adjacency.names
+        nq2 = len(self.hts.dfa.states) ** 2
+        out: dict[HtsState, dict[str, HtsState]] = {}
+        for v, code, kept in zip(self.states, self.codes, self.names):
+            if len(kept) < len(every[code // nq2]):
+                moves = self.hts.successors(v).items()
+                out[v] = {a: dst for a, dst in moves if a not in kept}
+        return out
 
 
 def build_restricted_game(
@@ -220,40 +307,73 @@ def build_restricted_game(
 ) -> RestrictedGame:
     """Restrict the HTS to subjectively-rationalizable actions of both players.
 
-    By default one forward search expands only the fragment reachable from the
-    initial state under the restricted dynamics, ordered as in ``hts.states``;
-    ``reachable_only=False`` expands every state of ``S x Q x Q`` instead.
+    By default one forward search over HTS codes expands only the fragment
+    reachable from the initial state under the restricted dynamics;
+    ``reachable_only=False`` expands every code of ``S x Q x Q`` instead.
+    Either way the states are numbered in code order, the order of
+    ``hts.states``.
     """
-    transitions: dict[HtsState, dict[str, HtsState]] = {}
-    removed: dict[HtsState, dict[str, HtsState]] = {}
+    arena, qs = hts.arena, hts.dfa.states
+    adj = arena.adjacency
+    nq = len(qs)
+    nq2 = nq * nq
+    next1, next2 = hts.next1, hts.next2
+    # (names, successor arena indices) of the kept moves, per s_index * |Q| + p_index
+    kept: dict[int, tuple[tuple[str, ...], list[int]]] = {}
 
-    def expand(v: HtsState) -> dict[str, HtsState]:
-        moves = hts.successors(v)
-        keep = sr.owner_actions(v[0], v[2])
-        if len(keep) < len(moves):
-            removed[v] = {a: dst for a, dst in moves.items() if a not in keep}
-            moves = {a: dst for a, dst in moves.items() if a in keep}
-        transitions[v] = moves
-        return moves
+    order = [hts.code(hts.initial)] if reachable_only else list(range(len(arena.states) * nq2))
+    found = {code: n for n, code in enumerate(order)}  # code -> place in order
+    succ: list[list[int]] = []
+    names: list[tuple[str, ...]] = []
+    for code in order:  # grows while the search runs
+        i, j, k = code // nq2, code // nq % nq, code % nq
+        moves = kept.get(i * nq + k)
+        if moves is None:
+            keep = sr.owner_actions(arena.states[i], qs[k])
+            every, dsts = adj.names[i], adj.succ[i]
+            if len(keep) < len(every):
+                every, dsts = (
+                    tuple(a for a in every if a in keep),
+                    [d for a, d in zip(every, dsts) if a in keep],
+                )
+            moves = kept[i * nq + k] = (every, dsts)
+        out = []
+        for d in moves[1]:
+            dst = d * nq2 + next1[d][j] * nq + next2[d][k]
+            n = found.get(dst)
+            if n is None:
+                n = found[dst] = len(order)
+                order.append(dst)
+            out.append(n)
+        succ.append(out)
+        names.append(moves[0])
 
-    if reachable_only:
-        seen = _forward_closure(hts.initial, expand)
-        s_index = {s: i for i, s in enumerate(hts.arena.states)}
-        q_index = {q: i for i, q in enumerate(hts.dfa.states)}
-        states = tuple(sorted(seen, key=lambda v: (s_index[v[0]], q_index[v[1]], q_index[v[2]])))
-    else:
-        states = hts.states
-        for v in states:
-            expand(v)
+    # Renumber from search order to code order.
+    perm = sorted(range(len(order)), key=order.__getitem__)
+    rank = [0] * len(perm)
+    for pos, n in enumerate(perm):
+        rank[n] = pos
+    for out in succ:
+        out[:] = map(rank.__getitem__, out)
+    codes = [order[n] for n in perm]
+    arena_index = [code // nq2 for code in codes]
+    states = tuple(
+        (arena.states[i], qs[code // nq % nq], qs[code % nq])
+        for i, code in zip(arena_index, codes)
+    )
+    robust = bytes(s in hts.robust_win for s in arena.states)
+    at_target = bytes(robust[i] for i in arena_index)
     return RestrictedGame(
         hts=hts,
         states=states,
-        owner={v: hts.arena.owner[v[0]] for v in states},
-        transitions=transitions,
-        removed=removed,
         initial=hts.initial,
-        target=frozenset(v for v in states if v[0] in hts.robust_win),
+        target=frozenset(compress(states, at_target)),
         reachable_only=reachable_only,
+        codes=codes,
+        succ=[succ[n] for n in perm],
+        names=[names[n] for n in perm],
+        p1=bytes(adj.p1[i] for i in arena_index),
+        at_target=at_target,
     )
 
 
@@ -263,5 +383,6 @@ def solve_deceptive_sure(rg: RestrictedGame) -> tuple[Regions, Strategy]:
     The strategy decreases the attractor level outside the target and is
     undefined inside it, where P1 switches to his true winning strategy.
     """
-    regions, strat1, _strat2 = solve_reachability(rg, rg.target)
+    seeds = compress(range(len(rg.states)), rg.at_target)
+    regions, strat1, _strat2 = solve_indexed(rg.indexed(), seeds)
     return regions, strat1

@@ -2,7 +2,8 @@
 
 The product is a view over ``S x Q``: it keeps the arena, the DFA and the
 automaton step table, and computes a state's moves on demand.  The solver gets
-its int adjacency straight from the arena's adjacency and the step table.
+its int adjacency straight from the arena's shared int adjacency
+(:attr:`Arena.adjacency`) and the step table.
 """
 
 from __future__ import annotations
@@ -55,32 +56,26 @@ class ProductGame:
 
     def indexed(self) -> IndexedGame:
         """Int adjacency for the solver: ``(s, q)`` is ``s_index * |Q| + q_index``."""
-        arena, qs = self.arena, self.dfa.states
+        adj, qs = self.arena.adjacency, self.dfa.states
         nq = len(qs)
-        s_index = {s: i for i, s in enumerate(arena.states)}
         q_index = {q: k for k, q in enumerate(qs)}
-        # entry[i] = (index of (s_i, q_0), index of the automaton state after
-        # entering s_i from each q_k)
-        entry = [
-            (i * nq, [q_index[self.step[(q, s)]] for q in qs]) for i, s in enumerate(arena.states)
-        ]
-        moves = [arena.transitions[s] for s in arena.states]
+        # next_q[i][k]: index of the automaton state after entering s_i from q_k
+        next_q = [[q_index[self.step[(q, s)]] for q in qs] for s in self.arena.states]
         succ: list[list[int]] = []
-        for m in moves:
-            dsts = [entry[s_index[dst]] for dst in m.values()]
+        for out in adj.succ:
             for k in range(nq):
-                succ.append([base + next_q[k] for base, next_q in dsts])
+                succ.append([d * nq + next_q[d][k] for d in out])
 
         def index(v: ProductState) -> int:
             s, q = v
-            return s_index[s] * nq + q_index[q]
+            return adj.where[s] * nq + q_index[q]
 
         return IndexedGame(
             states=self.states,
             succ=succ,
-            p1=bytes(arena.owner[s] == 1 for s in arena.states for _q in qs),
+            p1=bytes(owned for owned in adj.p1 for _q in qs),
             index=index,
-            actions=lambda j: tuple(moves[j // nq]),
+            actions=lambda j: adj.names[j // nq],
         )
 
 

@@ -7,19 +7,30 @@ backward from the seed indices layer by layer, counting outstanding
 successors of each P2 state.  A solve is linear in the number of transitions.
 
 A game graph reaches the kernel through an :class:`IndexedGame`.  A graph that
-provides an ``indexed()`` method (the product game) supplies its own int
-adjacency; any other object exposing ``states``, ``owner`` (state -> 1 or 2)
-and ``transitions`` (state -> {action: successor}) is indexed once per call by
-:func:`_index_game`.  The int adjacency is dropped after the call.  Only the
+provides an ``indexed()`` method (the arena, the product game and the
+restricted game) supplies the int adjacency it already holds; any other object
+exposing ``states``, ``owner`` (state -> 1 or 2) and ``transitions`` (state ->
+{action: successor}) is indexed once per call by :func:`_index_game`.  Only the
 boundary decode builds state-keyed :class:`Regions` and strategies.
+:func:`predecessors` is the kernel's predecessor build, shared with the
+almost-sure solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Hashable, Iterable, Protocol, Sequence
 
-__all__ = ["GameGraph", "IndexedGame", "Regions", "Strategy", "solve_reachability"]
+__all__ = [
+    "GameGraph",
+    "IndexedGame",
+    "Regions",
+    "Strategy",
+    "predecessors",
+    "solve_indexed",
+    "solve_reachability",
+]
 
 State = Hashable
 
@@ -75,12 +86,31 @@ def _index_game(game: GameGraph) -> IndexedGame:
     )
 
 
-def _attractor(succ: list[list[int]], p1: bytes, seeds: Iterable[int]) -> list[int]:
-    """Attractor level of every state for P1, ``-1`` outside the attractor."""
-    preds: list[list[int]] = [[] for _ in succ]
+def predecessors(succ: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Every ``i`` with an edge to ``j``, once per edge, as ``flat[start[j]:start[j + 1]]``.
+
+    Two flat lists rather than one list per state keep the number of objects
+    allocated, and so the garbage collector's work, independent of the
+    number of states.
+    """
+    n = len(succ)
+    start = [0] * (n + 1)
+    for out in succ:
+        for j in out:
+            start[j + 1] += 1
+    start = list(accumulate(start))
+    fill = start[:n]
+    flat = [0] * start[n]
     for i, out in enumerate(succ):
         for j in out:
-            preds[j].append(i)
+            flat[fill[j]] = i
+            fill[j] += 1
+    return start, flat
+
+
+def _attractor(succ: list[list[int]], p1: bytes, seeds: Iterable[int]) -> list[int]:
+    """Attractor level of every state for P1, ``-1`` outside the attractor."""
+    start, flat = predecessors(succ)
     pending = [len(out) for out in succ]  # P2 successors not yet attracted
     level = [-1] * len(succ)
     layer = list(seeds)
@@ -91,7 +121,7 @@ def _attractor(succ: list[list[int]], p1: bytes, seeds: Iterable[int]) -> list[i
         depth += 1
         found = []
         for j in layer:
-            for i in preds[j]:
+            for i in flat[start[j]:start[j + 1]]:
                 if level[i] >= 0:
                     continue
                 if not p1[i]:
@@ -125,6 +155,11 @@ def solve_reachability(
             unknown.append(v)
     if unknown:
         raise ValueError(f"target contains unknown states: {sorted(map(repr, unknown))[:3]}")
+    return solve_indexed(g, seeds)
+
+
+def solve_indexed(g: IndexedGame, seeds: Iterable[int]) -> tuple[Regions, Strategy, Strategy]:
+    """:func:`solve_reachability` on an interned graph whose target is given as indices."""
     return _decode(g, _attractor(g.succ, g.p1, seeds))
 
 

@@ -4,9 +4,10 @@
   restricted game and confirms (or refutes, with a counterexample play) that
   P1's strategy forces the target within a step bound.
 * :func:`simulate_asw` Monte-Carlo-samples the one-player stochastic game with
-  the adversary drawing rationalizable actions at random, and audits every
-  trace for stealth.  Each trial's random stream is derived solely from
-  ``(seed, trial index)``, so runs are reproducible regardless of ordering.
+  the adversary drawing rationalizable actions at random, walking the
+  restricted game's int graph, and audits every trace for stealth.  Each
+  trial's random stream is derived solely from ``(seed, trial index)``, so
+  runs are reproducible regardless of ordering.
 * :func:`audit_stealth` checks a single trace against the rationalizable
   action sets.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .almostsure import StochasticGame
 from .hypergame import HtsState, RestrictedGame, SrActionMap
@@ -48,7 +49,7 @@ class VerificationReport:
     bound: int
 
 
-def _p1_move(state: HtsState, moves: Mapping[str, HtsState], strat: Strategy) -> str:
+def _p1_move(state: HtsState, moves: Collection[str], strat: Strategy) -> str:
     # Outside the winning region the strategy may be undefined; extend it
     # deterministically so exploration and counterexamples stay reproducible.
     action = strat.get(state)
@@ -159,14 +160,16 @@ def simulate_asw(
         raise ValueError("cap must be at least 1")
     if trials == 0:
         return SimulationStats(0, 0, 0, None, 0, seed)
+    rg = g.restricted
+    first = rg.position(start)
     wins = 0
     violations = 0
     for index in range(trials):
         rng = _trial_rng(seed, index)
-        trace = _run_trial(g, strat, start, cap, rng, weights)
+        trace = _run_trial(rg, strat, first, cap, rng, weights)
         if trace.reached_target:
             wins += 1
-        if not audit_stealth(trace, sr, g.target):
+        if not audit_stealth(trace, sr, rg.target):
             violations += 1
     losses = trials - wins
     return SimulationStats(
@@ -180,34 +183,36 @@ def simulate_asw(
 
 
 def _run_trial(
-    g: StochasticGame,
+    rg: RestrictedGame,
     strat: Strategy,
-    start: HtsState,
+    start: int,
     cap: int,
     rng: random.Random,
     weights: Callable[[list[str]], list[float]] | None,
 ) -> Trace:
-    states = [start]
+    """One play from position ``start`` of the restricted game's int graph."""
+    states, succ, names, p1, at_target = rg.states, rg.succ, rg.names, rg.p1, rg.at_target
+    i = start
+    state = states[i]
+    path = [state]
     actions: list[str] = []
-    state = start
     for _ in range(cap):
-        if state in g.target:
-            return Trace(tuple(states), tuple(actions), reached_target=True)
-        if g.is_choice(state):
-            moves = g.choice_actions[state]
-            action = _p1_move(state, moves, strat)
+        if at_target[i]:
+            return Trace(tuple(path), tuple(actions), reached_target=True)
+        here = names[i]
+        if p1[i]:
+            action = _p1_move(state, here, strat)
         else:
-            moves = g.chance_actions[state]
-            names = sorted(moves)
+            ordered = sorted(here)
             if weights is None:
-                action = names[rng.randrange(len(names))]
+                action = ordered[rng.randrange(len(ordered))]
             else:
-                action = rng.choices(names, weights=weights(names), k=1)[0]
-        state = moves[action]
+                action = rng.choices(ordered, weights=weights(ordered), k=1)[0]
+        i = succ[i][here.index(action)]
+        state = states[i]
         actions.append(action)
-        states.append(state)
-    reached = state in g.target
-    return Trace(tuple(states), tuple(actions), reached_target=reached)
+        path.append(state)
+    return Trace(tuple(path), tuple(actions), reached_target=bool(at_target[i]))
 
 
 def audit_stealth(trace: Trace, sr: SrActionMap, target: Iterable[HtsState]) -> bool:

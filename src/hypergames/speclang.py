@@ -351,7 +351,8 @@ def normalize(f: Formula) -> Formula:
         return Next(sub)
     if isinstance(f, Eventually):
         sub = normalize(f.sub)
-        if sub in (TOP, BOTTOM):
+        # F F φ = F φ on finite words
+        if sub in (TOP, BOTTOM) or isinstance(sub, Eventually):
             return sub
         return Eventually(sub)
     if isinstance(f, Until):

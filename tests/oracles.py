@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 from hypergames.almostsure import StochasticGame, pre_step
 from hypergames.reachsolver import Regions
+from hypergames.simulate import Trace
 from hypergames.speclang import (
     And,
     Atom,
@@ -249,6 +250,39 @@ def nested_fixed_point_oracle(g: StochasticGame) -> tuple[frozenset, tuple[froze
                     a for a, dst in g.choice_actions[v].items() if dst in levels[i - 1]
                 )
     return frozenset(X), tuple(frozenset(level) for level in levels), strategy
+
+
+def dict_trial_oracle(g: StochasticGame, strat, start, cap, rng, weights):
+    """One simulated play as a ``Trace``, walking the stochastic game's dict views.
+
+    P1 plays ``strat`` (the smallest action where it is undefined); the
+    adversary draws from her sorted actions with ``rng``, uniformly or by
+    ``weights``, exactly as the simulator does.
+    """
+    states = [start]
+    actions = []
+    state = start
+    for _ in range(cap):
+        if state in g.target:
+            return Trace(tuple(states), tuple(actions), reached_target=True)
+        if g.is_choice(state):
+            moves = g.choice_actions[state]
+            action = strat.get(state)
+            if action is None:
+                action = min(moves)
+            elif action not in moves:
+                raise ValueError(f"strategy action {action!r} not available at {state!r}")
+        else:
+            moves = g.chance_actions[state]
+            names = sorted(moves)
+            if weights is None:
+                action = names[rng.randrange(len(names))]
+            else:
+                action = rng.choices(names, weights=weights(names), k=1)[0]
+        state = moves[action]
+        actions.append(action)
+        states.append(state)
+    return Trace(tuple(states), tuple(actions), reached_target=state in g.target)
 
 
 def recursive_verify_oracle(rg, strat, start, bound):

@@ -3,10 +3,17 @@ import random
 import pytest
 
 from hypergames.almostsure import build_stochastic_game, pre_step, solve_asw
-from hypergames.arena import HypergameInput
+from hypergames.arena import Arena, HypergameInput
 from hypergames.cli import synthesize
+from hypergames.simulate import _run_trial, _trial_rng, simulate_asw
+from hypergames.speclang import parse_formula
 
-from oracles import asw_oracle, nested_fixed_point_oracle
+from oracles import (
+    asw_oracle,
+    dict_attractor_oracle,
+    dict_trial_oracle,
+    nested_fixed_point_oracle,
+)
 from randgen import corridor_input, random_arena, random_dfa, small_hypergame_input
 
 GOLDEN_LEVELS = [
@@ -111,17 +118,19 @@ class TestSolveAsw:
         assert asw_oracle(running_bundle.stochastic) == running_bundle.asw.x_star
 
 
-def _suite4_games():
+def _suite4_games(full_space=False):
     for seed in range(200):
         rng = random.Random(1000 + seed)
         arena = random_arena(rng, max_states=50, max_branch=4)
         dfa = random_dfa(rng, arena.ap, max_states=5)
-        yield synthesize(HypergameInput(arena=arena, objective=dfa)).stochastic
+        inp = HypergameInput(arena=arena, objective=dfa)
+        yield synthesize(inp, full_space=full_space).stochastic
 
 
-def _small_games():
+def _small_games(full_space=False):
     for seed in [*range(8), *range(2000, 2050)]:
-        yield synthesize(small_hypergame_input(random.Random(seed))).stochastic
+        inp = small_hypergame_input(random.Random(seed))
+        yield synthesize(inp, full_space=full_space).stochastic
 
 
 class TestAgainstNestedFixedPoint:
@@ -129,8 +138,16 @@ class TestAgainstNestedFixedPoint:
 
     @pytest.mark.parametrize("games", [_suite4_games, _small_games])
     def test_same_region_levels_and_strategy(self, games):
+        self._compare(games())
+
+    @pytest.mark.parametrize("games", [_suite4_games, _small_games])
+    def test_same_on_full_space(self, games):
+        self._compare(games(full_space=True))
+
+    @staticmethod
+    def _compare(stochastic_games):
         compared = 0
-        for g in games():
+        for g in stochastic_games:
             x_star, levels, strategy = nested_fixed_point_oracle(g)
             asw = solve_asw(g)
             assert asw.x_star == x_star
@@ -149,3 +166,90 @@ class TestAgainstNestedFixedPoint:
         assert asw.x_star == set(g.states)
         assert sorted(set(asw.level.values())) == list(range(n - 1))
         assert len(asw.strategy) == n // 2 - 1
+
+
+def _edge_input(owner, transitions, label_true, label_perceived):
+    states = tuple(sorted(owner))
+    arena = Arena(
+        states=states,
+        owner=owner,
+        transitions=transitions,
+        initial=states[0],
+        ap=frozenset({"a"}),
+        label_true={s: frozenset({"a"}) for s in label_true},
+        label_perceived={s: frozenset({"a"}) for s in label_perceived},
+    )
+    return HypergameInput(arena, parse_formula("F a", arena.ap), "F a")
+
+
+def _dead_end_input():
+    # 2 (P1) and 3 (P2) have no moves and lie outside the target {6}.  P1
+    # perceives himself as losing at 0, so every move there looks rational;
+    # the adversary perceives entering 4 as his win, so she plays 1->3.
+    return _edge_input(
+        owner={0: 1, 1: 2, 2: 1, 3: 2, 4: 1, 5: 2, 6: 1},
+        transitions={
+            0: {"0->1": 1, "0->2": 2, "0->5": 5},
+            1: {"1->3": 3, "1->4": 4},
+            2: {},
+            3: {},
+            4: {"4->6": 6},
+            5: {"5->6": 6, "5->0": 0},
+            6: {"6->6": 6},
+        },
+        label_true={6},
+        label_perceived={4},
+    )
+
+
+def _all_target_input():
+    # every arena state is truly labelled a, so every triple is in the target
+    return _edge_input(
+        owner={0: 1, 1: 2},
+        transitions={0: {"0->1": 1}, 1: {"1->0": 0, "1->1": 1}},
+        label_true={0, 1},
+        label_perceived=set(),
+    )
+
+
+class TestEdgeGraphs:
+    """Dead ends outside the target, and a fragment that is all target."""
+
+    @pytest.mark.parametrize("full_space", [False, True])
+    def test_dead_ends_match_oracles(self, full_space):
+        bundle = synthesize(_dead_end_input(), full_space=full_space)
+        rg, g = bundle.restricted, bundle.stochastic
+        dead = [v for v in rg.states if not rg.transitions[v] and v not in rg.target]
+        assert {rg.owner[v] for v in dead} == {1, 2}
+        regions, strat1, _ = dict_attractor_oracle(rg, rg.target)
+        assert bundle.sure_regions == regions
+        assert bundle.sure_strategy == strat1
+        x_star, levels, strategy = nested_fixed_point_oracle(g)
+        assert bundle.asw.x_star == x_star and bundle.asw.levels == levels
+        assert bundle.asw.strategy == strategy
+        assert not set(dead) & bundle.asw.x_star
+        for v in rg.states:
+            rng_a, rng_b = _trial_rng(0, 0), _trial_rng(0, 0)
+            try:
+                expected = dict_trial_oracle(g, bundle.asw.strategy, v, 10, rng_a, None)
+            except ValueError:  # a play that reaches a dead end has no next move
+                with pytest.raises(ValueError):
+                    _run_trial(rg, bundle.asw.strategy, rg.position(v), 10, rng_b, None)
+                continue
+            assert _run_trial(rg, bundle.asw.strategy, rg.position(v), 10, rng_b, None) == expected
+
+    def test_all_target_fragment(self):
+        bundle = synthesize(_all_target_input())
+        rg = bundle.restricted
+        assert rg.target == set(rg.states)
+        assert bundle.sure_regions.win1 == rg.target
+        assert set(bundle.sure_regions.level.values()) == {0}
+        assert bundle.sure_strategy == {}
+        assert bundle.asw.x_star == rg.target
+        assert bundle.asw.levels == (rg.target,)
+        assert bundle.asw.strategy == {}
+        assert nested_fixed_point_oracle(bundle.stochastic)[0] == rg.target
+        stats = simulate_asw(
+            bundle.stochastic, {}, rg.initial, trials=5, cap=3, seed=0, sr=bundle.sr
+        )
+        assert stats.wins == 5

@@ -10,6 +10,8 @@ from hypergames.hypergame import (
     solve_deceptive_sure,
     sr_actions,
 )
+from hypergames import reachsolver
+from hypergames.almostsure import build_stochastic_game, solve_asw
 from hypergames.cli import synthesize
 from hypergames.arena import HypergameInput
 from hypergames.speclang import parse_formula
@@ -147,6 +149,10 @@ class TestAgainstEagerBuild:
             bundle = synthesize(inp)
             hts = build_hts(inp, bundle.dfa, bundle.regions_true)
             rg = build_restricted_game(hts, bundle.sr, reachable_only=reachable_only)
+            # the views are built after both solves have read the int graph
+            solve_deceptive_sure(rg)
+            g = build_stochastic_game(rg)
+            solve_asw(g)
             _, expected = eager_restricted_game_oracle(
                 inp, bundle.dfa, bundle.regions_true, bundle.sr, reachable_only
             )
@@ -156,6 +162,13 @@ class TestAgainstEagerBuild:
             assert rg.removed == expected.removed
             assert rg.target == expected.target
             assert rg.initial == expected.initial
+            choice, chance, support = eager_stochastic_views(expected)
+            assert g.states == expected.states and g.target == expected.target
+            assert g.choice_actions == choice
+            assert g.chance_actions == chance
+            assert g.support == support
+            for i, v in enumerate(rg.states):
+                assert rg.position(v) == i
 
     def test_same_whole_space_views(self, running_input):
         for inp in oracle_cases(running_input):
@@ -171,6 +184,21 @@ class TestAgainstEagerBuild:
             assert hts.transitions == expected.transitions
             assert hts.target == expected.target
             assert hts.reachable == expected.reachable
+
+
+def eager_stochastic_views(rg):
+    """``(choice_actions, chance_actions, support)`` of a restricted game's dicts."""
+    choice, chance, support = {}, {}, {}
+    for v in rg.states:
+        moves = rg.transitions[v]
+        if v in rg.target:
+            support[v] = frozenset({v})
+        elif rg.owner[v] == 1:
+            choice[v] = moves
+        else:
+            chance[v] = moves
+            support[v] = frozenset(moves.values())
+    return choice, chance, support
 
 
 class TestNoFullEnumeration:
@@ -191,6 +219,18 @@ class TestNoFullEnumeration:
         # a cached view is stored in the instance dict on first access
         assert not set(self.VIEWS) & set(vars(bundle.hts))
         assert len(bundle.restricted.states) < len(inp.arena.states) * 8 * 8
+
+    def test_synthesize_builds_the_graph_once(self, monkeypatch):
+        def fail(game):
+            raise AssertionError("synthesize re-interned a game graph")
+
+        monkeypatch.setattr(reachsolver, "_index_game", fail)
+        bundle = synthesize(self._conj_input())
+        # the solves read the restricted game's int graph; no state-keyed view
+        # of it, or of the stochastic game over it, is built
+        assert not {"owner", "transitions", "removed"} & set(vars(bundle.restricted))
+        stochastic_views = {"choice_actions", "chance_actions", "support"}
+        assert not stochastic_views & set(vars(bundle.stochastic))
 
     def test_full_space_solves_every_triple(self):
         inp = self._conj_input()

@@ -5,10 +5,17 @@ import pytest
 
 from hypergames.arena import HypergameInput
 from hypergames.cli import synthesize
-from hypergames.simulate import Trace, audit_stealth, simulate_asw, verify_sure
+from hypergames.simulate import (
+    Trace,
+    _run_trial,
+    _trial_rng,
+    audit_stealth,
+    simulate_asw,
+    verify_sure,
+)
 
-from oracles import recursive_verify_oracle
-from randgen import corridor_input, random_arena, random_dfa
+from oracles import dict_trial_oracle, recursive_verify_oracle
+from randgen import corridor_input, random_arena, random_dfa, small_hypergame_input
 
 
 class TestVerifySure:
@@ -139,6 +146,45 @@ class TestSimulateAsw:
         assert stats.wins == 0
         assert stats.losses_by_cap == 20
         assert stats.stealth_violations == 0
+
+
+class TestTrialAgainstDictWalk:
+    """The int-graph trial against the walk over the stochastic game's dicts."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_same_traces(self, running_input, weighted):
+        weights = (lambda names: [len(a) + i for i, a in enumerate(names)]) if weighted else None
+        inputs = [running_input, corridor_input(200)]
+        inputs += [small_hypergame_input(random.Random(seed)) for seed in range(5)]
+        for inp in inputs:
+            bundle = synthesize(inp)
+            g, rg = bundle.stochastic, bundle.restricted
+            cap = 3 * len(rg.states)
+            for seed in range(20):
+                for index in range(10):
+                    start = rg.states[(seed * 10 + index) % len(rg.states)]
+                    got = _run_trial(
+                        rg, bundle.asw.strategy, rg.position(start), cap,
+                        _trial_rng(seed, index), weights,
+                    )
+                    expected = dict_trial_oracle(
+                        g, bundle.asw.strategy, start, cap, _trial_rng(seed, index), weights
+                    )
+                    assert got == expected
+
+    def test_simulation_reads_no_dict_view(self, running_input):
+        bundle = synthesize(running_input)
+        g = bundle.stochastic
+        simulate_asw(g, bundle.asw.strategy, g.initial, trials=50, cap=100, seed=0, sr=bundle.sr)
+        views = {"choice_actions", "chance_actions", "support"}
+        assert not views & set(vars(g))
+        assert not {"owner", "transitions", "removed"} & set(vars(bundle.restricted))
+
+    def test_unknown_start_rejected(self, running_bundle):
+        g = running_bundle.stochastic
+        for bad in ((9, "q0", "q0"), (0, "q9", "q0"), (2, "q0", "q1"), "junk"):
+            with pytest.raises(KeyError):
+                simulate_asw(g, {}, bad, trials=1, cap=5, seed=0, sr=running_bundle.sr)
 
 
 class TestAuditStealth:

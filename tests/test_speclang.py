@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from hypergames.speclang import (
     progress,
 )
 
+import oracles
 from oracles import sat
 from randgen import random_formula
 
@@ -133,6 +135,30 @@ class TestCompile:
     def test_state_cap(self):
         with pytest.raises(DfaSizeError):
             compile_to_dfa(parse_formula("F a", {"a"}), {"a"}, max_states=1)
+
+    def test_nested_eventually_collapses(self, monkeypatch):
+        # F F a = F a on finite words; without the collapse every residual of
+        # the 100-deep chain is a new state
+        f = parse_formula("F " * 100 + "a", {"a"})
+        assert normalize(f) == Eventually(Atom("a"))
+        d = compile_to_dfa(f, {"a"})
+        assert len(d.states) == 2
+        # The evaluator re-reads each nested F at every later position, which
+        # is exponential in the depth; memoising it per (node, position) for
+        # one word computes the same function.
+        plain = oracles.sat
+        for length in range(5):
+            for w in itertools.product(all_symbols({"a"}), repeat=length):
+                memo: dict = {}
+
+                def memo_sat(g, word, i=0):
+                    key = (id(g), i)
+                    if key not in memo:
+                        memo[key] = plain(g, word, i)
+                    return memo[key]
+
+                monkeypatch.setattr(oracles, "sat", memo_sat)
+                assert accepts(d, list(w)) == oracles.sat(f, list(w))
 
     def test_unbounded_residuals_raise_size_error(self):
         # syntactic normalisation never finds two residuals of nested U equal,
