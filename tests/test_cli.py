@@ -127,6 +127,31 @@ def test_dot_bytes_pinned(running_bundle):
         assert export_dot(graph, regions) == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+REPORT_GOLDENS = [
+    (SCENARIO, "running_example", "sure", [], 0),
+    (SCENARIO, "running_example", "asw", [], 0),
+    (SCENARIO, "running_example", "perceptual", [], 0),
+    (SCENARIO, "running_example", "verify", [], 2),
+    (SCENARIO, "running_example", "simulate", ["--trials", "200"], 0),
+] + [
+    (GOLDEN / f"generated_{ids}_ids.json", f"generated_{ids}_ids", mode, [], 0)
+    for ids in ("int", "str")  # 15 int ids; string ids with quotes, a backslash and non-ASCII
+    for mode in ("sure", "asw", "perceptual")
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, name, mode, extra, status",
+    REPORT_GOLDENS,
+    ids=[f"{name}-{mode}" for _, name, mode, _, _ in REPORT_GOLDENS],
+)
+def test_report_bytes_pinned(tmp_path, scenario, name, mode, extra, status):
+    # the lazily decoded regions and the report's sort order must not move a byte
+    out = tmp_path / "report.json"
+    assert main([str(scenario), "--mode", mode, *extra, "--out", str(out)]) == status
+    assert out.read_bytes() == (GOLDEN / f"{name}_{mode}.json").read_bytes()
+
+
 def test_unbounded_residuals_exit_code(tmp_path, capsys):
     # Nested U makes the residuals grow without bound until progression
     # overflows the stack; that is a resource cap (exit 3), not a traceback.
