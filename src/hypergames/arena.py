@@ -92,7 +92,7 @@ class Arena:
     def indexed(self) -> IndexedGame:
         adj = self.adjacency
         return IndexedGame(
-            states=self.states,
+            game=self,
             succ=adj.succ,
             p1=adj.p1,
             index=adj.where.__getitem__,

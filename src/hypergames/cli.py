@@ -27,12 +27,12 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import almostsure, hypergame, simulate as sim
 from .arena import Arena, ArenaFormatError, HypergameInput, load_arena_file
 from .product import ProductGame, build_product
-from .reachsolver import Regions, Strategy, solve_reachability
+from .reachsolver import Regions, Strategy, p1_strategy, solve_reachability
 from .speclang import Dfa, DfaSizeError, Formula, FormulaError, compile_to_dfa
 
 __all__ = ["RunConfig", "SynthesisBundle", "synthesize", "run", "export_dot", "main"]
@@ -61,7 +61,6 @@ class SynthesisBundle:
     product_perceived: ProductGame
     regions_true: Regions
     regions_perceived: Regions
-    true_strategy: Strategy
     hts: hypergame.Hts
     sr: hypergame.SrActionMap
     restricted: hypergame.RestrictedGame
@@ -69,6 +68,12 @@ class SynthesisBundle:
     sure_strategy: Strategy
     stochastic: almostsure.StochasticGame
     asw: almostsure.AswResult
+
+    @cached_property
+    def true_strategy(self) -> Strategy:
+        """P1's min-action attractor strategy in the true product, derived from
+        its level list on first read."""
+        return p1_strategy(self.product_true.indexed(), self.regions_true.levels)
 
     # The arena-level shortcut regions are read only by the perceptual report
     # and its DOT rendering, so they are solved on first access.
@@ -100,8 +105,8 @@ def synthesize(inp: HypergameInput, dfa_cap: int = 10_000, full_space: bool = Fa
         dfa = compile_to_dfa(inp.objective, inp.arena.ap, max_states=dfa_cap)
     product_true = build_product(inp.arena, 1, dfa)
     product_perceived = build_product(inp.arena, 2, dfa)
-    regions_true, true_strategy, _ = solve_reachability(product_true, product_true.target)
-    regions_perceived, _, _ = solve_reachability(product_perceived, product_perceived.target)
+    regions_true = product_true.solve()
+    regions_perceived = product_perceived.solve()
     hts = hypergame.build_hts(inp, dfa, regions_true)
     sr = hypergame.build_sr_map(product_perceived, regions_perceived)
     restricted = hypergame.build_restricted_game(hts, sr, reachable_only=not full_space)
@@ -115,7 +120,6 @@ def synthesize(inp: HypergameInput, dfa_cap: int = 10_000, full_space: bool = Fa
         product_perceived=product_perceived,
         regions_true=regions_true,
         regions_perceived=regions_perceived,
-        true_strategy=true_strategy,
         hts=hts,
         sr=sr,
         restricted=restricted,
@@ -131,61 +135,89 @@ def synthesize(inp: HypergameInput, dfa_cap: int = 10_000, full_space: bool = Fa
 # ---------------------------------------------------------------------------
 
 
-def _state_key(v: Any) -> str:
-    return json.dumps(v, default=str)
+_encode = json.JSONEncoder(default=str).encode  # json.dumps(v, default=str)
 
 
-def _sorted_states(states) -> list:
-    return sorted((list(v) if isinstance(v, tuple) else v for v in states), key=_state_key)
+def _json_order() -> Callable[[Any], str]:
+    """A sort key that orders report states as their ``json.dumps`` texts do.
+
+    The key is that text itself, joined from the encodings of a state's
+    components; one key encodes each distinct component once.  Components are
+    memoised by value, which is exact because a report's states come from one
+    arena, whose ids are distinct as dict keys, and one DFA.
+    """
+    memo: dict = {}
+
+    def encode(c: Any) -> str:
+        text = memo.get(c)
+        if text is None:
+            text = memo[c] = _encode(c)
+        return text
+
+    def key(v: Any) -> str:
+        if isinstance(v, (tuple, list)):
+            return "[" + ", ".join(map(encode, v)) + "]"
+        return encode(v)
+
+    return key
 
 
-def _strategy_rows(strategy: Strategy) -> list[dict[str, Any]]:
+def _sorted_states(states, key: Callable[[Any], str]) -> list:
+    return sorted((list(v) if isinstance(v, tuple) else v for v in states), key=key)
+
+
+def _strategy_rows(strategy: Strategy, key: Callable[[Any], str]) -> list[dict[str, Any]]:
     rows = [
         {"state": list(v) if isinstance(v, tuple) else v, "action": a}
         for v, a in strategy.items()
     ]
-    return sorted(rows, key=lambda row: _state_key(row["state"]))
+    return sorted(rows, key=lambda row: key(row["state"]))
 
 
 def build_report(bundle: SynthesisBundle, config: RunConfig) -> dict[str, Any]:
     mode = config.mode
+    order = _json_order()
+
+    def states(collection) -> list:
+        return _sorted_states(collection, order)
+
     if mode == "perceptual":
         return {
             "mode": mode,
             "arena_level": {
                 "true": {
-                    "win1": _sorted_states(bundle.arena_regions_true.win1),
-                    "win2": _sorted_states(bundle.arena_regions_true.win2),
+                    "win1": states(bundle.arena_regions_true.win1),
+                    "win2": states(bundle.arena_regions_true.win2),
                 },
                 "perceived": {
-                    "win1": _sorted_states(bundle.arena_regions_perceived.win1),
-                    "win2": _sorted_states(bundle.arena_regions_perceived.win2),
+                    "win1": states(bundle.arena_regions_perceived.win1),
+                    "win2": states(bundle.arena_regions_perceived.win2),
                 },
             },
             "product_level": {
                 "true": {
-                    "win1": _sorted_states(bundle.regions_true.win1),
-                    "win2": _sorted_states(bundle.regions_true.win2),
+                    "win1": states(bundle.regions_true.win1),
+                    "win2": states(bundle.regions_true.win2),
                 },
                 "perceived": {
-                    "win1": _sorted_states(bundle.regions_perceived.win1),
-                    "win2": _sorted_states(bundle.regions_perceived.win2),
+                    "win1": states(bundle.regions_perceived.win1),
+                    "win2": states(bundle.regions_perceived.win2),
                 },
             },
         }
     if mode == "sure":
         return {
             "mode": mode,
-            "target": _sorted_states(bundle.restricted.target),
-            "region": _sorted_states(bundle.sure_regions.win1),
-            "strategy": _strategy_rows(bundle.sure_strategy),
+            "target": states(bundle.restricted.target),
+            "region": states(bundle.sure_regions.win1),
+            "strategy": _strategy_rows(bundle.sure_strategy, order),
         }
     if mode == "asw":
         return {
             "mode": mode,
-            "x_star": _sorted_states(bundle.asw.x_star),
-            "levels": [_sorted_states(level) for level in bundle.asw.levels],
-            "strategy": _strategy_rows(bundle.asw.strategy),
+            "x_star": states(bundle.asw.x_star),
+            "levels": [states(level) for level in bundle.asw.levels],
+            "strategy": _strategy_rows(bundle.asw.strategy, order),
         }
     raise ValueError(f"no report for mode {mode!r}")
 

@@ -8,10 +8,13 @@ deceptively by steering the play into the deception target while using only
 actions the adversary considers rational in her own perceptual game; once
 there he abandons stealth and follows his true winning strategy.
 
-The restricted game comes out of one forward search over int-coded triples
-as an int graph, which the sure solve, the almost-sure solve and the
-simulator all read; its state-keyed dicts are views built only when
-something reads them.
+The product solves reach this module as level lists: the HTS takes its
+target from the true product's levels, and the SR map works out a state's
+rationalizable moves from the perceived product's levels the first time they
+are asked for.  The restricted game comes out of one forward search over
+int-coded triples as an int graph, which the sure solve, the almost-sure
+solve and the simulator all read; its state-keyed dicts are views built only
+when something reads them.
 
 Two deliberate modeling choices (both match the worked example the golden
 tests pin down):
@@ -29,13 +32,14 @@ tests pin down):
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
+from typing import Sequence
 
 from .arena import Arena, HypergameInput, StateId
-from .product import ProductGame
-from .reachsolver import IndexedGame, Regions, Strategy, solve_indexed
+from .product import ProductGame, label_rows
+from .reachsolver import IndexedGame, Regions, Strategy, p1_strategy, solve_indexed
 from .speclang import Dfa
 
 __all__ = [
@@ -64,54 +68,85 @@ def sr_actions(
     if not (isinstance(state, tuple) and len(state) == 2):
         raise ValueError(f"unknown L2-product state {state!r}")
     s, q = state
-    if (q, s) not in product2.step:
-        raise ValueError(f"unknown L2-product state {state!r}")
+    try:
+        i, k = product2.arena.adjacency.where[s], product2.dfa.index[q]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown L2-product state {state!r}") from None
     if player not in (1, 2):
         raise ValueError(f"player must be 1 or 2, got {player!r}")
-    succs = product2.arena.transitions[s]
-    win = regions2.win1 if player == 1 else regions2.win2
-    if state in win:
-        step = product2.step
-        return frozenset(a for a, dst in succs.items() if (dst, step[(q, dst)]) in win)
-    return frozenset(succs)
+    return frozenset(_rational_moves(product2, regions2.levels, i, k, player == 1)[0])
+
+
+def _rational_moves(
+    product2: ProductGame, levels: Sequence[int], i: int, k: int, for_p1: bool
+) -> tuple[tuple[str, ...], list[int]]:
+    """``(names, successor arena indices)`` of the moves at L2-product state
+    ``(i, k)`` (arena index, automaton index) that are rationalizable for P1
+    (``for_p1``) or for P2, read from the perceived product's level list: P1's
+    perceived winning region is where the level is ``>= 0``, P2's the rest."""
+    adj, rows = product2.arena.adjacency, product2.rows
+    nq = len(product2.dfa.states)
+    names, dsts = adj.names[i], adj.succ[i]
+    if (levels[i * nq + k] >= 0) == for_p1:  # winning in the perception: stay there
+        keep = [(levels[d * nq + rows[d][k]] >= 0) == for_p1 for d in dsts]
+        if not all(keep):
+            return tuple(compress(names, keep)), list(compress(dsts, keep))
+    return names, dsts
 
 
 @dataclass(frozen=True)
 class SrActionMap:
-    """Owner's subjectively-rationalizable action set at every L2-product state."""
+    """The owner's subjectively-rationalizable moves at the L2-product states.
+
+    Holds the perceived product and its regions, whose level list decides
+    rationality; a state's moves are worked out the first time they are
+    asked for.  :meth:`kept` gives the kept moves of an (arena index,
+    automaton index) pair and :meth:`owner_actions` their names by state;
+    ``by_state``, the action set of every L2-product state, is built on
+    first access.
+    """
 
     product2: ProductGame
     regions2: Regions
-    by_state: dict[tuple, frozenset[str]]
+    _moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _actions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def kept(self, i: int, k: int) -> tuple[tuple[str, ...], list[int]]:
+        """``(names, successor arena indices)`` of the owner's rationalizable
+        moves at arena state ``i`` with perceived automaton state ``k``, in
+        arena order; the arena's own tuple and list when nothing is pruned."""
+        key = i * len(self.product2.dfa.states) + k
+        moves = self._moves.get(key)
+        if moves is None:
+            p1 = self.product2.arena.adjacency.p1[i]
+            moves = self._moves[key] = _rational_moves(
+                self.product2, self.regions2.levels, i, k, bool(p1)
+            )
+        return moves
 
     def owner_actions(self, s: StateId, p: str) -> frozenset[str]:
-        return self.by_state[(s, p)]
+        try:
+            return self._actions[(s, p)]
+        except KeyError:
+            i, k = self.product2.arena.adjacency.where[s], self.product2.dfa.index[p]
+            out = self._actions[(s, p)] = frozenset(self.kept(i, k)[0])
+            return out
 
     def for_player(self, player: int, s: StateId, p: str) -> frozenset[str]:
         return sr_actions(self.product2, self.regions2, (s, p), player)
 
+    @cached_property
+    def by_state(self) -> dict[tuple, frozenset[str]]:
+        return {(s, p): self.owner_actions(s, p) for s, p in self.product2.states}
+
 
 def build_sr_map(product2: ProductGame, regions2: Regions) -> SrActionMap:
-    """:func:`sr_actions` of the owner at every L2-product state, in ``states`` order.
+    """The owner's :func:`sr_actions` at every L2-product state, computed on demand.
 
-    Reads the arena's adjacency and the product's step table directly; states
-    whose every action is rationalizable share one action set.
+    Keeps ``regions2``'s level list; nothing is worked out until a state's
+    moves are asked for.
     """
-    arena, step = product2.arena, product2.step
-    states, nq = product2.states, len(product2.dfa.states)
-    by_state: dict[tuple, frozenset[str]] = {}
-    for i, s in enumerate(arena.states):
-        succs = arena.transitions[s]
-        every = frozenset(succs)
-        win = regions2.win1 if arena.owner[s] == 1 else regions2.win2
-        for v in states[i * nq:(i + 1) * nq]:  # (s, q) for every q
-            if v in win:
-                q = v[1]
-                keep = [a for a, dst in succs.items() if (dst, step[(q, dst)]) in win]
-                by_state[v] = every if len(keep) == len(every) else frozenset(keep)
-            else:
-                by_state[v] = every
-    return SrActionMap(product2=product2, regions2=regions2, by_state=by_state)
+    return SrActionMap(product2=product2, regions2=regions2)
 
 
 @dataclass(frozen=True)
@@ -123,8 +158,9 @@ class Hts:
     ``q`` and ``p`` in ``dfa.states``; codes sort in ``states`` order.
     ``next1[i][j]`` / ``next2[i][j]`` is the index of the true / perceived
     automaton state after entering arena state ``i`` from automaton state
-    ``j``; arena states with the same label share one row.  :meth:`successors`
-    gives one triple's moves; the whole-space views are built on first access.
+    ``j``; they are the products' rows (:func:`product.label_rows`), so arena
+    states with the same label share one row.  :meth:`successors` gives one
+    triple's moves; the whole-space views are built on first access.
     """
 
     arena: Arena
@@ -134,22 +170,18 @@ class Hts:
     initial: HtsState
     robust_win: frozenset  # arena states winning in the true product for every q
 
-    @cached_property
-    def q_index(self) -> dict[str, int]:
-        return {q: j for j, q in enumerate(self.dfa.states)}
-
     def code(self, v: HtsState) -> int:
         """The int code of ``v``; ``KeyError``, ``TypeError`` or ``ValueError`` if
         ``v`` is no triple of this HTS."""
         s, q, p = v
-        q_index = self.q_index
+        q_index = self.dfa.index
         nq = len(q_index)
         return (self.arena.adjacency.where[s] * nq + q_index[q]) * nq + q_index[p]
 
     def successors(self, v: HtsState) -> dict[str, HtsState]:
         s, q, p = v
         adj, qs = self.arena.adjacency, self.dfa.states
-        i, j, k = adj.where[s], self.q_index[q], self.q_index[p]
+        i, j, k = adj.where[s], self.dfa.index[q], self.dfa.index[p]
         dsts = self.arena.states
         return {
             a: (dsts[d], qs[self.next1[d][j]], qs[self.next2[d][k]])
@@ -191,10 +223,14 @@ def _forward_closure(start: HtsState, moves) -> set:
 
 
 def robust_winning_states(arena: Arena, dfa: Dfa, win11: Regions) -> frozenset:
-    """Arena states ``s`` with ``(s, q)`` sure-winning for P1 for every DFA state."""
-    return frozenset(
-        s for s in arena.states if all((s, q) in win11.win1 for q in dfa.states)
-    )
+    """Arena states ``s`` with ``(s, q)`` sure-winning for P1 for every DFA state.
+
+    Reads the true product's level list, where ``(s, q)`` has the position
+    ``s_index * |Q| + q_index``.
+    """
+    levels, nq = win11.levels, len(dfa.states)
+    firsts = range(0, len(levels), nq)  # position of (s, q0) for each s
+    return frozenset(s for s, at in zip(arena.states, firsts) if -1 not in levels[at:at + nq])
 
 
 def build_hts(inp: HypergameInput, d: Dfa, win11: Regions) -> Hts:
@@ -202,27 +238,14 @@ def build_hts(inp: HypergameInput, d: Dfa, win11: Regions) -> Hts:
 
     ``win11`` must be the solution of the true-labeling product of the same
     arena and DFA.  The target collects every triple whose arena component is
-    robustly sure-winning in that product.
+    robustly sure-winning in that product, read from its level list.  The
+    automaton rows are the products' own (:func:`product.label_rows`).
     """
     arena, qs = inp.arena, d.states
-    q_index = {q: j for j, q in enumerate(qs)}
-    rows: dict[frozenset, list[int]] = {}  # label -> next automaton state per q
-
-    def row(label: frozenset) -> list[int]:
-        out = rows.get(label)
-        if out is None:
-            out = rows[label] = [q_index[d.delta[(q, label)]] for q in qs]
-        return out
-
-    next1: list[list[int]] = []
-    next2: list[list[int]] = []
-    for s in arena.states:
-        for q in qs:
-            if (s, q) not in win11:
-                raise ValueError(f"true-product regions do not cover {(s, q)!r}")
-        next1.append(row(arena.label(s, 1)))
-        next2.append(row(arena.label(s, 2)))
-    i0, j0 = arena.adjacency.where[arena.initial], q_index[d.initial]
+    if len(win11.levels) != len(arena.states) * len(qs):
+        raise ValueError("true-product regions do not cover S x Q")
+    next1, next2 = label_rows(arena, d, 1), label_rows(arena, d, 2)
+    i0, j0 = arena.adjacency.where[arena.initial], d.index[d.initial]
     return Hts(
         arena=arena,
         dfa=d,
@@ -271,7 +294,7 @@ class RestrictedGame:
 
     def indexed(self) -> IndexedGame:
         return IndexedGame(
-            states=self.states,
+            game=self,
             succ=self.succ,
             p1=self.p1,
             index=self.position,
@@ -318,8 +341,7 @@ def build_restricted_game(
     nq = len(qs)
     nq2 = nq * nq
     next1, next2 = hts.next1, hts.next2
-    # (names, successor arena indices) of the kept moves, per s_index * |Q| + p_index
-    kept: dict[int, tuple[tuple[str, ...], list[int]]] = {}
+    kept = sr.kept  # (names, successor arena indices) of the kept moves at (i, p_index)
 
     order = [hts.code(hts.initial)] if reachable_only else list(range(len(arena.states) * nq2))
     found = {code: n for n, code in enumerate(order)}  # code -> place in order
@@ -327,16 +349,7 @@ def build_restricted_game(
     names: list[tuple[str, ...]] = []
     for code in order:  # grows while the search runs
         i, j, k = code // nq2, code // nq % nq, code % nq
-        moves = kept.get(i * nq + k)
-        if moves is None:
-            keep = sr.owner_actions(arena.states[i], qs[k])
-            every, dsts = adj.names[i], adj.succ[i]
-            if len(keep) < len(every):
-                every, dsts = (
-                    tuple(a for a in every if a in keep),
-                    [d for a, d in zip(every, dsts) if a in keep],
-                )
-            moves = kept[i * nq + k] = (every, dsts)
+        moves = kept(i, k)
         out = []
         for d in moves[1]:
             dst = d * nq2 + next1[d][j] * nq + next2[d][k]
@@ -383,6 +396,6 @@ def solve_deceptive_sure(rg: RestrictedGame) -> tuple[Regions, Strategy]:
     The strategy decreases the attractor level outside the target and is
     undefined inside it, where P1 switches to his true winning strategy.
     """
-    seeds = compress(range(len(rg.states)), rg.at_target)
-    regions, strat1, _strat2 = solve_indexed(rg.indexed(), seeds)
-    return regions, strat1
+    g = rg.indexed()
+    regions = solve_indexed(g, compress(range(len(rg.states)), rg.at_target))
+    return regions.decode(), p1_strategy(g, regions.levels)

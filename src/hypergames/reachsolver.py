@@ -10,8 +10,11 @@ A game graph reaches the kernel through an :class:`IndexedGame`.  A graph that
 provides an ``indexed()`` method (the arena, the product game and the
 restricted game) supplies the int adjacency it already holds; any other object
 exposing ``states``, ``owner`` (state -> 1 or 2) and ``transitions`` (state ->
-{action: successor}) is indexed once per call by :func:`_index_game`.  Only the
-boundary decode builds state-keyed :class:`Regions` and strategies.
+{action: successor}) is indexed once per call by :func:`_index_game`.  The
+result keeps the kernel's level list: :class:`Regions` decodes its
+state-keyed sets and ranks only when they are first read, and
+:func:`p1_strategy` and :func:`p2_strategy` derive the min-action strategies
+from the same levels, each only for a caller that keeps it.
 :func:`predecessors` is the kernel's predecessor build, shared with the
 almost-sure solve.
 """
@@ -19,14 +22,17 @@ almost-sure solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Hashable, Iterable, Protocol, Sequence
+from typing import Any, Callable, Hashable, Iterable, Protocol, Sequence
 
 __all__ = [
     "GameGraph",
     "IndexedGame",
     "Regions",
     "Strategy",
+    "p1_strategy",
+    "p2_strategy",
     "predecessors",
     "solve_indexed",
     "solve_reachability",
@@ -41,16 +47,46 @@ class GameGraph(Protocol):
     transitions: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Regions:
-    """Determinacy partition with attractor ranks for the reaching player."""
+    """Determinacy partition with attractor ranks for the reaching player.
 
-    win1: frozenset
-    win2: frozenset
-    level: dict
+    ``levels[i]`` is the kernel's attractor level of position ``i`` of
+    ``game``, whose ``states`` lists the state at each position, and ``-1``
+    outside the attractor.  ``level`` (win1 state -> rank), ``win1`` and
+    ``win2`` are decoded from it on first read.  Two partitions are equal when
+    their decoded sets and ranks are.
+    """
+
+    levels: Sequence[int]
+    game: Any
+
+    @cached_property
+    def level(self) -> dict:
+        return {v: lv for v, lv in zip(self.game.states, self.levels) if lv >= 0}
+
+    @cached_property
+    def win1(self) -> frozenset:
+        return frozenset(self.level)
+
+    @cached_property
+    def win2(self) -> frozenset:
+        return frozenset(v for v, lv in zip(self.game.states, self.levels) if lv < 0)
+
+    def decode(self) -> Regions:
+        """Decode ``level``, ``win1`` and ``win2`` now rather than on first read."""
+        self.win1, self.win2  # each read caches its value; win1 reads level
+        return self
 
     def __contains__(self, state: State) -> bool:
         return state in self.win1 or state in self.win2
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Regions):
+            return NotImplemented
+        return self.level == other.level and self.win2 == other.win2
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 Strategy = dict  # state -> chosen action
@@ -60,13 +96,14 @@ Strategy = dict  # state -> chosen action
 class IndexedGame:
     """A game graph interned to the ints ``0..n-1``, with the way back.
 
-    ``succ[i]`` is aligned with ``actions(i)``: the k-th action of state ``i``
-    leads to ``succ[i][k]``.  ``index`` maps a state to its int and raises
+    ``game.states[i]`` is the state at position ``i``.  ``succ[i]`` is aligned
+    with ``actions(i)``: the k-th action of state ``i`` leads to
+    ``succ[i][k]``.  ``index`` maps a state to its int and raises
     ``KeyError``, ``TypeError`` or ``ValueError`` for anything else.
     """
 
-    states: Sequence[State]
-    succ: list[list[int]]
+    game: Any
+    succ: Sequence[Sequence[int]]
     p1: bytes
     index: Callable[[State], int]
     actions: Callable[[int], Sequence[str]]
@@ -78,7 +115,7 @@ def _index_game(game: GameGraph) -> IndexedGame:
     where = {v: i for i, v in enumerate(states)}
     moves = [game.transitions[v] for v in states]
     return IndexedGame(
-        states=states,
+        game=game,
         succ=[[where[dst] for dst in m.values()] for m in moves],
         p1=bytes(game.owner[v] == 1 for v in states),
         index=where.__getitem__,
@@ -108,7 +145,7 @@ def predecessors(succ: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     return start, flat
 
 
-def _attractor(succ: list[list[int]], p1: bytes, seeds: Iterable[int]) -> list[int]:
+def _attractor(succ: Sequence[Sequence[int]], p1: bytes, seeds: Iterable[int]) -> list[int]:
     """Attractor level of every state for P1, ``-1`` outside the attractor."""
     start, flat = predecessors(succ)
     pending = [len(out) for out in succ]  # P2 successors not yet attracted
@@ -155,32 +192,31 @@ def solve_reachability(
             unknown.append(v)
     if unknown:
         raise ValueError(f"target contains unknown states: {sorted(map(repr, unknown))[:3]}")
-    return solve_indexed(g, seeds)
+    regions = solve_indexed(g, seeds)
+    return regions, p1_strategy(g, regions.levels), p2_strategy(g, regions.levels)
 
 
-def solve_indexed(g: IndexedGame, seeds: Iterable[int]) -> tuple[Regions, Strategy, Strategy]:
-    """:func:`solve_reachability` on an interned graph whose target is given as indices."""
-    return _decode(g, _attractor(g.succ, g.p1, seeds))
+def solve_indexed(g: IndexedGame, seeds: Iterable[int]) -> Regions:
+    """The regions of an interned graph whose target is given as indices."""
+    return Regions(_attractor(g.succ, g.p1, seeds), g.game)
 
 
-def _decode(g: IndexedGame, level: list[int]) -> tuple[Regions, Strategy, Strategy]:
-    """State-keyed regions and min-action strategies from the kernel's levels."""
-    states, succ, p1, actions = g.states, g.succ, g.p1, g.actions
-    ranks: dict = {}
-    lost = []
-    strat1: Strategy = {}
-    strat2: Strategy = {}
-    for i, lv in enumerate(level):
-        v = states[i]
-        if lv >= 0:
-            ranks[v] = lv
-            if lv and p1[i]:
-                strat1[v] = min(
-                    a for a, j in zip(actions(i), succ[i]) if 0 <= level[j] < lv
-                )
-        else:
-            lost.append(v)
-            if not p1[i] and succ[i]:
-                strat2[v] = min(a for a, j in zip(actions(i), succ[i]) if level[j] < 0)
-    regions = Regions(win1=frozenset(ranks), win2=frozenset(lost), level=ranks)
-    return regions, strat1, strat2
+def p1_strategy(g: IndexedGame, levels: Sequence[int]) -> Strategy:
+    """At every P1 state of win1 outside the target, the smallest action whose
+    successor has a lower level."""
+    states, succ, p1, actions = g.game.states, g.succ, g.p1, g.actions
+    return {
+        states[i]: min(a for a, j in zip(actions(i), succ[i]) if 0 <= levels[j] < lv)
+        for i, lv in enumerate(levels)
+        if lv > 0 and p1[i]
+    }
+
+
+def p2_strategy(g: IndexedGame, levels: Sequence[int]) -> Strategy:
+    """At every P2 state of win2 with a move, the smallest action that stays in win2."""
+    states, succ, p1, actions = g.game.states, g.succ, g.p1, g.actions
+    return {
+        states[i]: min(a for a, j in zip(actions(i), succ[i]) if levels[j] < 0)
+        for i, lv in enumerate(levels)
+        if lv < 0 and not p1[i] and succ[i]
+    }

@@ -1,8 +1,9 @@
 """Validation of synthesized strategies.
 
 * :func:`verify_sure` exhaustively explores every adversary reply in the
-  restricted game and confirms (or refutes, with a counterexample play) that
-  P1's strategy forces the target within a step bound.
+  restricted game's int graph and confirms (or refutes, with a
+  counterexample play) that P1's strategy forces the target within a step
+  bound.
 * :func:`simulate_asw` Monte-Carlo-samples the one-player stochastic game with
   the adversary drawing rationalizable actions at random, walking the
   restricted game's int graph, and audits every trace for stealth.  Each
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator
 
 from .almostsure import StochasticGame
 from .hypergame import HtsState, RestrictedGame, SrActionMap
@@ -65,54 +66,58 @@ def verify_sure(
 ) -> VerificationReport:
     """Exhaustively check that ``strat`` forces the target from ``start``.
 
-    All adversary choices in the restricted game are explored; the report is
-    verified iff every play reaches the target within ``bound`` steps (default:
-    the number of states of the restricted game).  Otherwise the first failing
-    play, a cycle or an over-long path, is returned as a counterexample.
+    All adversary choices in the restricted game are explored, walking its int
+    graph; the report is verified iff every play reaches the target within
+    ``bound`` steps (default: the number of states of the restricted game).
+    Otherwise the first failing play, a cycle or an over-long path, is
+    returned as a counterexample.
     """
-    if start not in rg.transitions:
-        raise ValueError(f"start state {start!r} is not in the restricted game")
+    try:
+        i = rg.position(start)
+    except KeyError:
+        raise ValueError(f"start state {start!r} is not in the restricted game") from None
     if bound is None:
         bound = len(rg.states)
 
-    verified_states: set[HtsState] = set()
+    states, succ, names, p1, at_target = rg.states, rg.succ, rg.names, rg.p1, rg.at_target
+    verified = bytearray(len(states))
+    on_path = bytearray(len(states))
     explored = 0
-    # Depth-first search with an explicit stack: frames[i] holds the moves of
-    # path[i] and the actions still to try there, and acts[i] is the action
-    # taken from path[i] towards the state being visited.
-    path: list[HtsState] = []
+    # Depth-first search with an explicit stack: frames[n] holds the position
+    # path[n] and the indices of its moves still to try, and acts[n] is the
+    # action taken from path[n] towards the position being visited.
+    path: list[int] = []
     acts: list[str] = []
-    on_path: set[HtsState] = set()
-    frames: list[tuple[Mapping[str, HtsState], Iterator[str]]] = []
+    frames: list[tuple[int, Iterator[int]]] = []
     counterexample: Trace | None = None
-    state = start
     while True:
         explored += 1
-        if state not in rg.target and state not in verified_states:
-            if state in on_path or len(path) >= bound or not rg.transitions[state]:
-                counterexample = Trace(tuple(path) + (state,), tuple(acts), reached_target=False)
+        if not at_target[i] and not verified[i]:
+            here = names[i]
+            if on_path[i] or len(path) >= bound or not here:
+                visited = tuple(states[j] for j in path) + (states[i],)
+                counterexample = Trace(visited, tuple(acts), reached_target=False)
                 break
-            moves = rg.transitions[state]
-            if rg.owner[state] == 1:
-                chosen = [_p1_move(state, moves, strat)]
+            if p1[i]:
+                chosen = [here.index(_p1_move(states[i], here, strat))]
             else:
-                chosen = sorted(moves)
-            path.append(state)
+                chosen = sorted(range(len(here)), key=here.__getitem__)
+            path.append(i)
             acts.append("")
-            on_path.add(state)
-            frames.append((moves, iter(chosen)))
+            on_path[i] = 1
+            frames.append((i, iter(chosen)))
         while frames:
-            moves, pending = frames[-1]
-            action = next(pending, None)
-            if action is not None:
-                acts[-1] = action
-                state = moves[action]
+            j, pending = frames[-1]
+            move = next(pending, None)
+            if move is not None:
+                acts[-1] = names[j][move]
+                i = succ[j][move]
                 break
             frames.pop()
             acts.pop()
-            done = path.pop()
-            on_path.remove(done)
-            verified_states.add(done)
+            path.pop()
+            on_path[j] = 0
+            verified[j] = 1
         else:
             break
 

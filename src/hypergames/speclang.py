@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -435,6 +436,26 @@ class Dfa:
     initial: str
     accepting: frozenset[str]
     residuals: dict[str, str] = field(default_factory=dict, compare=False)
+    _rows: dict[frozenset[str], list[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Position of each state in ``states``."""
+        return {q: k for k, q in enumerate(self.states)}
+
+    def row(self, symbol: frozenset[str]) -> list[int]:
+        """``row(symbol)[k]``: index of the state reached from ``states[k]`` on ``symbol``.
+
+        Computed once per symbol; every later call returns the same list, so
+        the games built over this DFA share their automaton rows.
+        """
+        row = self._rows.get(symbol)
+        if row is None:
+            index, delta = self.index, self.delta
+            row = self._rows[symbol] = [index[delta[(q, symbol)]] for q in self.states]
+        return row
 
     def step(self, state: str, symbol: frozenset[str]) -> str:
         symbol = frozenset(symbol)

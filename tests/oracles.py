@@ -157,7 +157,10 @@ def dict_attractor_oracle(game, target: Iterable) -> tuple[Regions, dict, dict]:
         if game.owner[s] != 2 or not game.transitions[s]:
             continue
         strat2[s] = min(a for a, dst in game.transitions[s].items() if dst in win2)
-    return Regions(win1=win1, win2=win2, level=level), strat1, strat2
+    # Packed as the solver's result type, whose level list follows ``game.states``.
+    regions = Regions(levels=[level.get(s, -1) for s in game.states], game=game)
+    assert regions.win1 == win1 and regions.win2 == win2
+    return regions, strat1, strat2
 
 
 def reachable_oracle(transitions, start) -> frozenset:

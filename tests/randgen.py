@@ -168,3 +168,12 @@ def oracle_cases(running_input: HypergameInput):
     for seed in range(60):
         yield small_hypergame_input(random.Random(seed))
     yield corridor_input(200)
+
+
+def product_cases(running_input: HypergameInput):
+    """The running example and 20 random arenas with ``F a & F b`` (|Q| = 4)."""
+    yield running_input
+    for seed in range(20):
+        arena = random_arena(random.Random(seed), max_states=30)
+        text = "F a & F b"
+        yield HypergameInput(arena, parse_formula(text, arena.ap), text)

@@ -4,7 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from hypergames.cli import RunConfig, build_report, export_dot, main, run, synthesize
+from hypergames.cli import (
+    RunConfig,
+    _json_order,
+    _sorted_states,
+    _strategy_rows,
+    build_report,
+    export_dot,
+    main,
+    run,
+    synthesize,
+)
 
 from conftest import SCENARIO
 
@@ -150,6 +160,26 @@ def test_report_bytes_pinned(tmp_path, scenario, name, mode, extra, status):
     out = tmp_path / "report.json"
     assert main([str(scenario), "--mode", mode, *extra, "--out", str(out)]) == status
     assert out.read_bytes() == (GOLDEN / f"{name}_{mode}.json").read_bytes()
+
+
+def test_report_order_is_json_text_order():
+    ids = [9, 10, -1, 1.5, 0, 100, -10, "9", "10", 'say "hi"', "café", "ω", "a\\b", "Zed", ""]
+    pairs = [(s, q) for s in ids for q in ("q0", "q10", "q2")]
+    triples = [(s, q, p) for s in ids for q in ("q1", "q10") for p in ("q0", "q9")]
+
+    def dumps(v):
+        return json.dumps(v, default=str)
+
+    for states in (ids, pairs, triples):
+        key = _json_order()
+        for v in states:
+            assert key(v) == dumps(v)
+        expected = sorted((list(v) if isinstance(v, tuple) else v for v in states), key=dumps)
+        assert _sorted_states(states, _json_order()) == expected
+        strategy = {v: f"a{n}" for n, v in enumerate(states)}
+        rows = _strategy_rows(strategy, _json_order())
+        assert rows == sorted(rows, key=lambda row: dumps(row["state"]))
+        assert [row["state"] for row in rows] == expected
 
 
 def test_unbounded_residuals_exit_code(tmp_path, capsys):

@@ -12,12 +12,12 @@ from hypergames.hypergame import (
 )
 from hypergames import reachsolver
 from hypergames.almostsure import build_stochastic_game, solve_asw
-from hypergames.cli import synthesize
+from hypergames.cli import RunConfig, build_report, synthesize
 from hypergames.arena import HypergameInput
 from hypergames.speclang import parse_formula
 
 from oracles import eager_restricted_game_oracle
-from randgen import oracle_cases, random_arena
+from randgen import oracle_cases, product_cases, random_arena
 
 GOLDEN_FRAGMENT = {
     (0, "q0", "q0"),
@@ -66,6 +66,31 @@ class TestSrActions:
         with pytest.raises(ValueError):
             running_bundle.sr.for_player(3, 1, "q0")
 
+    def test_by_state_matches_pointwise_and_definition(self, running_input):
+        for inp in product_cases(running_input):
+            bundle = synthesize(inp)
+            p2, r2, sr = bundle.product_perceived, bundle.regions_perceived, bundle.sr
+            for v in p2.states:
+                owner = p2.owner[v]
+                assert sr.by_state[v] == sr_actions(p2, r2, v, owner)
+                # the definition, on the decoded regions and the product's dicts
+                win = r2.win1 if owner == 1 else r2.win2
+                moves = p2.transitions[v]
+                expected = {a for a, dst in moves.items() if v not in win or dst in win}
+                assert sr.by_state[v] == expected
+                assert sr.owner_actions(*v) == expected
+
+    def test_kept_moves_follow_arena_order(self, running_input):
+        for inp in product_cases(running_input):
+            bundle = synthesize(inp)
+            adj, sr = inp.arena.adjacency, bundle.sr
+            for (s, p) in bundle.product_perceived.states:
+                i, k = adj.where[s], bundle.dfa.index[p]
+                names, dsts = sr.kept(i, k)
+                expected = [(a, d) for a, d in zip(adj.names[i], adj.succ[i])
+                            if a in sr.owner_actions(s, p)]
+                assert list(zip(names, dsts)) == expected
+
     @pytest.mark.parametrize("seed", range(10))
     def test_never_empty(self, seed):
         # a player in their perceived winning region always has a region-
@@ -103,10 +128,22 @@ class TestHts:
             hts.arena, hts.dfa, running_bundle.regions_true
         ) == {5, 6, 7}
 
+    def test_rows_shared_with_products(self, running_input):
+        for inp in product_cases(running_input):
+            bundle = synthesize(inp)
+            arena, hts = inp.arena, bundle.hts
+            for i in range(len(arena.states)):
+                assert hts.next1[i] is bundle.product_true.rows[i]
+                assert hts.next2[i] is bundle.product_perceived.rows[i]
+            # one row per distinct label, over both labelings
+            labels = {arena.label(s, which) for s in arena.states for which in (1, 2)}
+            rows = bundle.product_true.rows + bundle.product_perceived.rows
+            assert len({id(row) for row in rows}) == len(labels)
+
     def test_incomplete_regions_rejected(self, running_bundle):
         from hypergames.reachsolver import Regions
 
-        empty = Regions(win1=frozenset(), win2=frozenset(), level={})
+        empty = Regions(levels=[], game=running_bundle.product_true)
         with pytest.raises(ValueError, match="cover"):
             build_hts(running_bundle.inp, running_bundle.dfa, empty)
 
@@ -231,6 +268,19 @@ class TestNoFullEnumeration:
         assert not {"owner", "transitions", "removed"} & set(vars(bundle.restricted))
         stochastic_views = {"choice_actions", "chance_actions", "support"}
         assert not stochastic_views & set(vars(bundle.stochastic))
+
+    def test_synthesize_decodes_no_product_result(self):
+        bundle = synthesize(self._conj_input())
+        build_report(bundle, RunConfig("unused.json", "sure"))
+        # a cached view is stored in the instance dict on first access
+        for prod in (bundle.product_true, bundle.product_perceived):
+            assert "step" not in vars(prod)
+        for regions in (bundle.regions_true, bundle.regions_perceived):
+            assert not {"level", "win1", "win2"} & set(vars(regions))
+        assert "true_strategy" not in vars(bundle)
+        assert "by_state" not in vars(bundle.sr)
+        # the sure solve returns its result decoded
+        assert {"level", "win1", "win2"} <= set(vars(bundle.sure_regions))
 
     def test_full_space_solves_every_triple(self):
         inp = self._conj_input()

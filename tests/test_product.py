@@ -7,7 +7,8 @@ from hypergames.cli import synthesize
 from hypergames.product import build_product
 from hypergames.speclang import AlphabetError, compile_to_dfa, parse_formula
 
-from randgen import random_arena, random_dfa
+from oracles import dict_attractor_oracle
+from randgen import product_cases, random_arena, random_dfa
 
 
 def test_full_space_and_target(running_bundle):
@@ -82,6 +83,36 @@ def test_views_match_eager_build(seed):
         assert prod.initial == (arena.initial, step[(d.initial, arena.initial)])
 
 
+def test_regions_and_true_strategy_match_dict_oracle(running_input):
+    # the level lists kept by the product solves, decoded on read, against
+    # the state-keyed worklist solver on the products' dict views
+    for inp in product_cases(running_input):
+        bundle = synthesize(inp)
+        assert len(bundle.dfa.states) >= 3 or inp is running_input
+        for prod, regions in (
+            (bundle.product_true, bundle.regions_true),
+            (bundle.product_perceived, bundle.regions_perceived),
+        ):
+            expected, strat1, _ = dict_attractor_oracle(prod, prod.target)
+            assert regions.level == expected.level
+            assert regions.win1 == expected.win1
+            assert regions.win2 == expected.win2
+            if prod is bundle.product_true:
+                assert bundle.true_strategy == strat1
+
+
+def test_step_view_matches_rows(running_input):
+    for inp in product_cases(running_input):
+        bundle = synthesize(inp)
+        d, arena = bundle.dfa, inp.arena
+        for prod in (bundle.product_true, bundle.product_perceived):
+            assert prod.step == {
+                (q, s): d.delta[(q, arena.label(s, prod.which))]
+                for s in arena.states
+                for q in d.states
+            }
+
+
 def test_synthesize_builds_no_product_dicts():
     rng = random.Random(3)
     arena = random_arena(rng, max_states=300, min_states=300, ap=("a", "b", "c"))
@@ -90,4 +121,4 @@ def test_synthesize_builds_no_product_dicts():
     assert len(bundle.dfa.states) == 8
     for prod in (bundle.product_true, bundle.product_perceived):
         # a cached view is stored in the instance dict on first access
-        assert not {"owner", "transitions"} & set(vars(prod))
+        assert not {"step", "states", "owner", "transitions", "target"} & set(vars(prod))

@@ -15,7 +15,13 @@ from hypergames.simulate import (
 )
 
 from oracles import dict_trial_oracle, recursive_verify_oracle
-from randgen import corridor_input, random_arena, random_dfa, small_hypergame_input
+from randgen import (
+    corridor_input,
+    oracle_cases,
+    random_arena,
+    random_dfa,
+    small_hypergame_input,
+)
 
 
 class TestVerifySure:
@@ -82,6 +88,30 @@ class TestVerifySure:
                         report.states_explored,
                     )
                     assert got == recursive_verify_oracle(rg, bundle.sure_strategy, start, bound)
+
+
+    def test_matches_recursive_search_on_oracle_suites(self, running_input):
+        # the running example, the small suite and a 200-state corridor, from
+        # every state; verify_sure walks the int graph and builds no view
+        for inp in oracle_cases(running_input):
+            bundle = synthesize(inp)
+            rg = bundle.restricted
+            runs = [
+                (start, bound, verify_sure(rg, bundle.sure_strategy, start, bound=bound))
+                for start in rg.states
+                for bound in (3, len(rg.states))
+            ]
+            assert not {"transitions", "owner"} & set(vars(rg))
+            for start, bound, report in runs:
+                trace = report.counterexample
+                got = (
+                    report.verified,
+                    None if trace is None else trace.states,
+                    None if trace is None else trace.actions,
+                    report.states_explored,
+                )
+                assert got == recursive_verify_oracle(rg, bundle.sure_strategy, start, bound)
+                assert report.bound == bound
 
 
 class TestSimulateAsw:
