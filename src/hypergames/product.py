@@ -85,11 +85,11 @@ class ProductGame:
         nq = len(q_index)
         # moved[d][k]: position of the product state entered at d from automaton state k
         moved = [[d * nq + r for r in row] for d, row in enumerate(rows)]
-        none = [()] * nq
+        no_moves = [()] * nq
         succ: list = []
         for out in adj.succ:
             # one tuple per automaton state k, of the positions entered from (s, k)
-            succ.extend(zip(*[moved[d] for d in out]) if out else none)
+            succ.extend(zip(*[moved[d] for d in out]) if out else no_moves)
         p1 = bytearray(len(adj.p1) * nq)
         for k in range(nq):
             p1[k::nq] = adj.p1

@@ -89,7 +89,6 @@ class TestVerifySure:
                     )
                     assert got == recursive_verify_oracle(rg, bundle.sure_strategy, start, bound)
 
-
     def test_matches_recursive_search_on_oracle_suites(self, running_input):
         # the running example, the small suite and a 200-state corridor, from
         # every state; verify_sure walks the int graph and builds no view
