@@ -67,27 +67,27 @@ def sr_actions(
     """
     if not (isinstance(state, tuple) and len(state) == 2):
         raise ValueError(f"unknown L2-product state {state!r}")
-    s, q = state
     try:
-        i, k = product2.arena.adjacency.where[s], product2.dfa.index[q]
+        j = product2.index(*state)
     except (KeyError, TypeError):
         raise ValueError(f"unknown L2-product state {state!r}") from None
     if player not in (1, 2):
         raise ValueError(f"player must be 1 or 2, got {player!r}")
-    return frozenset(_rational_moves(product2, regions2.levels, i, k, player == 1)[0])
+    return frozenset(_rational_moves(product2, regions2.levels, j, player == 1)[0])
 
 
 def _rational_moves(
-    product2: ProductGame, levels: Sequence[int], i: int, k: int, for_p1: bool
+    product2: ProductGame, levels: Sequence[int], j: int, for_p1: bool
 ) -> tuple[tuple[str, ...], list[int]]:
-    """``(names, successor arena indices)`` of the moves at L2-product state
-    ``(i, k)`` (arena index, automaton index) that are rationalizable for P1
-    (``for_p1``) or for P2, read from the perceived product's level list: P1's
-    perceived winning region is where the level is ``>= 0``, P2's the rest."""
+    """``(names, successor arena indices)`` of the moves at position ``j`` of
+    the L2 product that are rationalizable for P1 (``for_p1``) or for P2,
+    read from its level list: P1's perceived winning region is where the
+    level is ``>= 0``, P2's the rest."""
     adj, rows = product2.arena.adjacency, product2.rows
     nq = len(product2.dfa.states)
+    i, k = divmod(j, nq)
     names, dsts = adj.names[i], adj.succ[i]
-    if (levels[i * nq + k] >= 0) == for_p1:  # winning in the perception: stay there
+    if (levels[j] >= 0) == for_p1:  # winning in the perception: stay there
         keep = [(levels[d * nq + rows[d][k]] >= 0) == for_p1 for d in dsts]
         if not all(keep):
             return tuple(compress(names, keep)), list(compress(dsts, keep))
@@ -100,8 +100,8 @@ class SrActionMap:
 
     Holds the perceived product and its regions, whose level list decides
     rationality; a state's moves are worked out the first time they are
-    asked for.  :meth:`kept` gives the kept moves of an (arena index,
-    automaton index) pair and :meth:`owner_actions` their names by state;
+    asked for.  :meth:`kept` gives the kept moves at an int position of the
+    L2 product and :meth:`owner_actions` their names by state;
     ``by_state``, the action set of every L2-product state, is built on
     first access.
     """
@@ -111,16 +111,17 @@ class SrActionMap:
     _moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _actions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def kept(self, i: int, k: int) -> tuple[tuple[str, ...], list[int]]:
+    def kept(self, j: int) -> tuple[tuple[str, ...], list[int]]:
         """``(names, successor arena indices)`` of the owner's rationalizable
-        moves at arena state ``i`` with perceived automaton state ``k``, in
-        arena order; the arena's own tuple and list when nothing is pruned."""
-        key = i * len(self.product2.dfa.states) + k
-        moves = self._moves.get(key)
+        moves at position ``j = i * |Q| + k`` of the L2 product (arena state
+        ``i``, perceived automaton state ``k``), in arena order; the arena's
+        own tuple and list when nothing is pruned."""
+        moves = self._moves.get(j)
         if moves is None:
-            p1 = self.product2.arena.adjacency.p1[i]
-            moves = self._moves[key] = _rational_moves(
-                self.product2, self.regions2.levels, i, k, bool(p1)
+            product2 = self.product2
+            owner_is_p1 = product2.arena.adjacency.p1[j // len(product2.dfa.states)]
+            moves = self._moves[j] = _rational_moves(
+                product2, self.regions2.levels, j, bool(owner_is_p1)
             )
         return moves
 
@@ -128,8 +129,8 @@ class SrActionMap:
         try:
             return self._actions[(s, p)]
         except KeyError:
-            i, k = self.product2.arena.adjacency.where[s], self.product2.dfa.index[p]
-            out = self._actions[(s, p)] = frozenset(self.kept(i, k)[0])
+            j = self.product2.index(s, p)
+            out = self._actions[(s, p)] = frozenset(self.kept(j)[0])
             return out
 
     def for_player(self, player: int, s: StateId, p: str) -> frozenset[str]:
@@ -341,7 +342,7 @@ def build_restricted_game(
     nq = len(qs)
     nq2 = nq * nq
     next1, next2 = hts.next1, hts.next2
-    kept = sr.kept  # (names, successor arena indices) of the kept moves at (i, p_index)
+    kept = sr.kept  # (names, successor arena indices) of the kept moves at i * |Q| + p_index
 
     order = [hts.code(hts.initial)] if reachable_only else list(range(len(arena.states) * nq2))
     found = {code: n for n, code in enumerate(order)}  # code -> place in order
@@ -349,7 +350,7 @@ def build_restricted_game(
     names: list[tuple[str, ...]] = []
     for code in order:  # grows while the search runs
         i, j, k = code // nq2, code // nq % nq, code % nq
-        moves = kept(i, k)
+        moves = kept(i * nq + k)
         out = []
         for d in moves[1]:
             dst = d * nq2 + next1[d][j] * nq + next2[d][k]

@@ -46,6 +46,11 @@ class ProductGame:
     rows: list[list[int]]
     initial: ProductState
 
+    def index(self, s: StateId, q: str) -> int:
+        """The int position of ``(s, q)``; ``KeyError`` or ``TypeError`` if it
+        is no state of this product."""
+        return self.arena.adjacency.where[s] * len(self.dfa.states) + self.dfa.index[q]
+
     def successors(self, v: ProductState) -> dict[str, ProductState]:
         s, q = v
         adj, qs = self.arena.adjacency, self.dfa.states
@@ -81,8 +86,8 @@ class ProductGame:
 
     def indexed(self) -> IndexedGame:
         """Int adjacency for the solver: ``(s, q)`` is ``s_index * |Q| + q_index``."""
-        adj, rows, q_index = self.arena.adjacency, self.rows, self.dfa.index
-        nq = len(q_index)
+        adj, rows = self.arena.adjacency, self.rows
+        nq = len(self.dfa.states)
         # moved[d][k]: position of the product state entered at d from automaton state k
         moved = [[d * nq + r for r in row] for d, row in enumerate(rows)]
         no_moves = [()] * nq
@@ -94,15 +99,11 @@ class ProductGame:
         for k in range(nq):
             p1[k::nq] = adj.p1
 
-        def index(v: ProductState) -> int:
-            s, q = v
-            return adj.where[s] * nq + q_index[q]
-
         return IndexedGame(
             game=self,
             succ=succ,
             p1=bytes(p1),
-            index=index,
+            index=lambda v: self.index(*v),
             actions=lambda j: adj.names[j // nq],
         )
 

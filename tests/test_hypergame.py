@@ -85,8 +85,8 @@ class TestSrActions:
             bundle = synthesize(inp)
             adj, sr = inp.arena.adjacency, bundle.sr
             for (s, p) in bundle.product_perceived.states:
-                i, k = adj.where[s], bundle.dfa.index[p]
-                names, dsts = sr.kept(i, k)
+                i = adj.where[s]
+                names, dsts = sr.kept(bundle.product_perceived.index(s, p))
                 expected = [(a, d) for a, d in zip(adj.names[i], adj.succ[i])
                             if a in sr.owner_actions(s, p)]
                 assert list(zip(names, dsts)) == expected
