@@ -335,7 +335,8 @@ def build_restricted_game(
     reachable from the initial state under the restricted dynamics;
     ``reachable_only=False`` expands every code of ``S x Q x Q`` instead.
     Either way the states are numbered in code order, the order of
-    ``hts.states``.
+    ``hts.states``.  ``sr`` must be the SR map of the same arena and DFA,
+    since its kept moves are looked up by index.
     """
     arena, qs = hts.arena, hts.dfa.states
     adj = arena.adjacency
