@@ -120,26 +120,46 @@ def _require(document: Mapping[str, Any], key: str) -> Any:
     return document[key]
 
 
+def _not_scalar(where: str, entry: Mapping[str, Any], keys: tuple[str, ...]) -> ArenaFormatError:
+    """The error for an ``entry`` in which one of ``keys`` holds an array or
+    an object where a state id or an action name belongs; it names the first
+    such key."""
+    key = next(k for k in keys if isinstance(entry.get(k), (list, dict)))
+    return ArenaFormatError(
+        f"{where} {entry!r}: {key!r} must be a string or a number, not {entry[key]!r}"
+    )
+
+
 def _parse_labels(
-    raw: Mapping[str, Any], by_repr: Mapping[str, StateId], ap: frozenset[str], field: str
+    raw: Any, by_repr: Mapping[str, StateId], ap: frozenset[str], field: str
 ) -> dict[StateId, frozenset[str]]:
+    if not isinstance(raw, Mapping):
+        raise ArenaFormatError(f"{field!r} must be an object mapping state ids to arrays")
     labels: dict[StateId, frozenset[str]] = {}
-    for key, props in raw.items():
-        if key not in by_repr:
-            raise ArenaFormatError(f"{field} refers to unknown state {key!r}")
-        if not isinstance(props, list):
-            raise ArenaFormatError(f"{field}[{key!r}] must be an array of proposition names")
-        for p in props:
-            if p not in ap:
-                raise ArenaFormatError(f"{field}[{key!r}] uses undeclared proposition {p!r}")
-        labels[by_repr[key]] = frozenset(props)
+    try:  # a proposition that is an array or object: see the states loop
+        for key, props in raw.items():
+            if key not in by_repr:
+                raise ArenaFormatError(f"{field} refers to unknown state {key!r}")
+            if not isinstance(props, list):
+                raise ArenaFormatError(f"{field}[{key!r}] must be an array of proposition names")
+            for p in props:
+                if p not in ap:
+                    raise ArenaFormatError(f"{field}[{key!r}] uses undeclared proposition {p!r}")
+            labels[by_repr[key]] = frozenset(props)
+    except TypeError:
+        raise ArenaFormatError(f"{field}[{key!r}] uses undeclared proposition {p!r}") from None
     return labels
 
 
-def _parse_explicit_dfa(raw: Mapping[str, Any], ap: frozenset[str]) -> Dfa:
+def _parse_explicit_dfa(raw: Any, ap: frozenset[str]) -> Dfa:
+    if not isinstance(raw, Mapping):
+        raise ArenaFormatError("objective.dfa must be an object")
     for key in ("states", "initial", "accepting", "transitions"):
         if key not in raw:
             raise ArenaFormatError(f"objective.dfa is missing field {key!r}")
+    for key in ("states", "accepting", "transitions"):
+        if not isinstance(raw[key], list):
+            raise ArenaFormatError(f"objective.dfa.{key} must be an array")
     states = tuple(str(q) for q in raw["states"])
     if len(set(states)) != len(states):
         raise ArenaFormatError("objective.dfa has duplicate states")
@@ -150,8 +170,15 @@ def _parse_explicit_dfa(raw: Mapping[str, Any], ap: frozenset[str]) -> Dfa:
     alphabet = speclang.all_symbols(ap)
     delta: dict[tuple[str, frozenset[str]], str] = {}
     for entry in raw["transitions"]:
-        src, dst = str(entry["from"]), str(entry["to"])
-        symbol = frozenset(entry["symbol"])
+        try:
+            src, dst, symbol = str(entry["from"]), str(entry["to"]), entry["symbol"]
+            symbol = frozenset(symbol) if isinstance(symbol, list) else None
+        except (KeyError, TypeError):  # not an object, or an array or object in the symbol
+            symbol = None
+        if symbol is None:
+            raise ArenaFormatError(
+                f"bad objective.dfa transition {entry!r}; need {{from, symbol: [...], to}}"
+            )
         if src not in states or dst not in states:
             raise ArenaFormatError(f"objective.dfa transition uses unknown state {entry!r}")
         if not symbol <= ap:
@@ -181,42 +208,53 @@ def load_arena(document: Mapping[str, Any]) -> HypergameInput:
         raise ArenaFormatError("'states' must be a non-empty array")
     states: list[StateId] = []
     owner: dict[StateId, int] = {}
-    for entry in raw_states:
-        if not isinstance(entry, Mapping) or "id" not in entry or "player" not in entry:
-            raise ArenaFormatError(f"bad state entry {entry!r}; need {{id, player}}")
-        sid, player = entry["id"], entry["player"]
-        if sid in owner:
-            raise ArenaFormatError(f"duplicate state id {sid!r}")
-        if player not in (P1, P2):
-            raise ArenaFormatError(f"state {sid!r}: player must be 1 or 2, got {player!r}")
-        states.append(sid)
-        owner[sid] = player
+    # An id that is a JSON array or object fails the dict lookups with
+    # TypeError; it is caught once around the loop rather than tested per entry.
+    try:
+        for entry in raw_states:
+            if not isinstance(entry, Mapping) or "id" not in entry or "player" not in entry:
+                raise ArenaFormatError(f"bad state entry {entry!r}; need {{id, player}}")
+            sid, player = entry["id"], entry["player"]
+            if sid in owner:
+                raise ArenaFormatError(f"duplicate state id {sid!r}")
+            if player not in (P1, P2):
+                raise ArenaFormatError(f"state {sid!r}: player must be 1 or 2, got {player!r}")
+            states.append(sid)
+            owner[sid] = player
+    except TypeError:
+        raise _not_scalar("state", entry, ("id",)) from None
     by_repr = {str(s): s for s in states}
 
     init = _require(document, "init")
-    if init not in owner:
-        raise ArenaFormatError(f"initial state {init!r} is not a declared state")
+    if isinstance(init, (list, dict)) or init not in owner:
+        raise ArenaFormatError(f"initial state 'init' {init!r} is not a declared state")
 
     raw_ap = _require(document, "ap")
     if not isinstance(raw_ap, list) or not all(isinstance(p, str) for p in raw_ap):
         raise ArenaFormatError("'ap' must be an array of proposition names")
     ap = frozenset(raw_ap)
 
+    raw_edges = _require(document, "edges")
+    if not isinstance(raw_edges, list):
+        raise ArenaFormatError("'edges' must be an array")
     transitions: dict[StateId, dict[str, StateId]] = {s: {} for s in states}
-    for entry in _require(document, "edges"):
-        if not isinstance(entry, Mapping) or "from" not in entry or "to" not in entry:
-            raise ArenaFormatError(f"bad edge entry {entry!r}; need {{from, to}}")
-        src, dst = entry["from"], entry["to"]
-        if src not in owner:
-            raise ArenaFormatError(f"edge from unknown state {src!r}")
-        if dst not in owner:
-            raise ArenaFormatError(f"edge to unknown state {dst!r}")
-        action = entry.get("action", f"{src}->{dst}")
-        if action in transitions[src]:
-            raise ArenaFormatError(
-                f"nondeterminism: duplicate (state, action) pair ({src!r}, {action!r})"
-            )
-        transitions[src][action] = dst
+    try:  # an end or action that is an array or object: see the states loop
+        for entry in raw_edges:
+            if not isinstance(entry, Mapping) or "from" not in entry or "to" not in entry:
+                raise ArenaFormatError(f"bad edge entry {entry!r}; need {{from, to}}")
+            src, dst = entry["from"], entry["to"]
+            if src not in owner:
+                raise ArenaFormatError(f"edge from unknown state {src!r}")
+            if dst not in owner:
+                raise ArenaFormatError(f"edge to unknown state {dst!r}")
+            action = entry.get("action", f"{src}->{dst}")
+            if action in transitions[src]:
+                raise ArenaFormatError(
+                    f"nondeterminism: duplicate (state, action) pair ({src!r}, {action!r})"
+                )
+            transitions[src][action] = dst
+    except TypeError:
+        raise _not_scalar("edge", entry, ("from", "to", "action")) from None
     for s in states:
         if not transitions[s]:
             raise ArenaFormatError(f"state {s!r} has no enabled action; games are infinite-duration")
@@ -240,6 +278,8 @@ def load_arena(document: Mapping[str, Any]) -> HypergameInput:
     if not isinstance(raw_objective, Mapping):
         raise ArenaFormatError("'objective' must be an object")
     if "formula" in raw_objective:
+        if not isinstance(raw_objective["formula"], str):
+            raise ArenaFormatError("objective.formula must be a string")
         try:
             objective: Formula | Dfa = speclang.parse_formula(raw_objective["formula"], ap)
         except speclang.FormulaError as exc:

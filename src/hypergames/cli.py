@@ -322,8 +322,24 @@ def export_dot(graph, regions=None, path: str | Path | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _argument_error(config: RunConfig) -> str | None:
+    """Why ``config``'s trial count or step cap is invalid for its mode, if it is."""
+    if config.mode == "simulate":
+        if config.trials < 0:
+            return f"--trials must be at least 0, got {config.trials}"
+        if config.cap is not None and config.cap < 1:
+            return f"--cap must be at least 1 in simulate mode, got {config.cap}"
+    elif config.mode == "verify" and config.cap is not None and config.cap < 0:
+        return f"--cap must be at least 0 in verify mode, got {config.cap}"
+    return None
+
+
 def run(config: RunConfig) -> int:
     """Execute one CLI invocation; returns the process exit status."""
+    problem = _argument_error(config)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 1
     try:
         inp = load_arena_file(config.input_path)
     except (OSError, ArenaFormatError) as exc:
@@ -342,7 +358,7 @@ def run(config: RunConfig) -> int:
     if config.mode in ("perceptual", "sure", "asw"):
         report = build_report(bundle, config)
     elif config.mode == "simulate":
-        cap = config.cap or 100 * len(bundle.restricted.states)
+        cap = 100 * len(bundle.restricted.states) if config.cap is None else config.cap
         stats = sim.simulate_asw(
             bundle.stochastic,
             bundle.asw.strategy,
@@ -365,7 +381,7 @@ def run(config: RunConfig) -> int:
             "cap": cap,
         }
     elif config.mode == "verify":
-        bound = config.cap or len(bundle.restricted.states)
+        bound = len(bundle.restricted.states) if config.cap is None else config.cap
         outcome = sim.verify_sure(
             bundle.restricted, bundle.sure_strategy, bundle.restricted.initial, bound=bound
         )

@@ -5,12 +5,15 @@
   counterexample play) that P1's strategy forces the target within a step
   bound.
 * :func:`simulate_asw` Monte-Carlo-samples the one-player stochastic game with
-  the adversary drawing rationalizable actions at random, walking the
-  restricted game's int graph, and audits every trace for stealth.  Each
-  trial's random stream is derived solely from ``(seed, trial index)``, so
-  runs are reproducible regardless of ordering.
+  the adversary drawing rationalizable actions at random.  Each trial is a
+  walk over positions of the restricted game's int graph that records no
+  trace: a position's move is worked out the first time a trial reaches it,
+  together with one static stealth bit for P1's move there, and reused by
+  every later trial of the call.  Each trial's random stream is derived
+  solely from ``(seed, trial index)``, so runs are reproducible regardless of
+  ordering.
 * :func:`audit_stealth` checks a single trace against the rationalizable
-  action sets.
+  action sets; it is the stealth oracle for plays recorded elsewhere.
 """
 
 from __future__ import annotations
@@ -159,65 +162,100 @@ def simulate_asw(
     uniformly unless ``weights`` supplies another positive distribution (the
     almost-sure property is distribution-free, so uniform is the
     least-assumption default).  A trial wins when the target is reached within
-    ``cap`` steps; every trace is stealth-audited.
+    ``cap`` steps.  It violates stealth when, before reaching the target, P1
+    plays an action that ``sr`` does not find rationalizable for him: the
+    count :func:`audit_stealth` would give on every trial's trace.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
+    if trials < 0:
+        raise ValueError("trials must be at least 0")
     if trials == 0:
         return SimulationStats(0, 0, 0, None, 0, seed)
     rg = g.restricted
     first = rg.position(start)
+    walk = _walker(rg, strat, sr, weights)
+    at_target = rg.at_target
     wins = 0
     violations = 0
     for index in range(trials):
-        rng = _trial_rng(seed, index)
-        trace = _run_trial(rg, strat, first, cap, rng, weights)
-        if trace.reached_target:
-            wins += 1
-        if not audit_stealth(trace, sr, rg.target):
-            violations += 1
-    losses = trials - wins
+        end, _steps, stealthy = walk(first, cap, _trial_rng(seed, index))
+        wins += at_target[end]
+        violations += not stealthy
     return SimulationStats(
         trials=trials,
         wins=wins,
-        losses_by_cap=losses,
+        losses_by_cap=trials - wins,
         win_rate=wins / trials,
         stealth_violations=violations,
         seed=seed,
     )
 
 
-def _run_trial(
+def _walker(
     rg: RestrictedGame,
     strat: Strategy,
-    start: int,
-    cap: int,
-    rng: random.Random,
+    sr: SrActionMap,
     weights: Callable[[list[str]], list[float]] | None,
-) -> Trace:
-    """One play from position ``start`` of the restricted game's int graph."""
+) -> Callable[[int, int, random.Random], tuple[int, int, bool]]:
+    """A function playing one trial on the restricted game's int graph.
+
+    ``walk(start, cap, rng)`` moves from position ``start`` until the target
+    or ``cap`` moves and returns ``(end position, moves made, stealthy)``.
+    The adversary draws from her actions in sorted name order with ``rng``,
+    one ``randrange`` (or ``choices``) per move, so a trial's draws are those
+    of the play it stands for.  Each position's move is worked out on the
+    first visit and kept for every later trial of this walker.  A strategy
+    action that is not available, or a dead end, raises ``ValueError`` there
+    (``IndexError``, from ``random.choices``, at an adversary's dead end
+    under ``weights``).
+    """
     states, succ, names, p1, at_target = rg.states, rg.succ, rg.names, rg.p1, rg.at_target
-    i = start
-    state = states[i]
-    path = [state]
-    actions: list[str] = []
-    for _ in range(cap):
-        if at_target[i]:
-            return Trace(tuple(path), tuple(actions), reached_target=True)
+    owner = sr.product2.arena.owner
+    # moves[i], None until position i is first reached: at a P1 position the
+    # successor, complemented (~j) when P1's action there is not rationalizable
+    # in his perception; at an adversary position the successors in the sorted
+    # order of their actions, whose names ordered[i] keeps for ``weights``.
+    moves: list = [None] * len(states)
+    ordered: dict[int, tuple[str, ...]] = {}
+
+    def learn(i: int):
         here = names[i]
         if p1[i]:
+            state = states[i]
             action = _p1_move(state, here, strat)
+            move = succ[i][here.index(action)]
+            s, _q, p = state
+            if owner[s] == 1 and action not in sr.owner_actions(s, p):
+                move = ~move
         else:
-            ordered = sorted(here)
-            if weights is None:
-                action = ordered[rng.randrange(len(ordered))]
+            rank = sorted(range(len(here)), key=here.__getitem__)
+            move = tuple(succ[i][k] for k in rank)
+            ordered[i] = tuple(here[k] for k in rank)
+        moves[i] = move
+        return move
+
+    def walk(i: int, cap: int, rng: random.Random) -> tuple[int, int, bool]:
+        draw = rng.randrange
+        stealthy = True
+        for step in range(cap):
+            if at_target[i]:
+                return i, step, stealthy
+            move = moves[i]
+            if move is None:
+                move = learn(i)
+            if p1[i]:
+                if move < 0:
+                    stealthy = False
+                    move = ~move
+                i = move
+            elif weights is None:
+                i = move[draw(len(move))]
             else:
-                action = rng.choices(ordered, weights=weights(ordered), k=1)[0]
-        i = succ[i][here.index(action)]
-        state = states[i]
-        actions.append(action)
-        path.append(state)
-    return Trace(tuple(path), tuple(actions), reached_target=bool(at_target[i]))
+                i = move[rng.choices(range(len(move)), weights=weights(list(ordered[i])))[0]]
+        return i, cap, stealthy
+
+    return walk
 
 
 def audit_stealth(trace: Trace, sr: SrActionMap, target: Iterable[HtsState]) -> bool:

@@ -5,7 +5,7 @@ import pytest
 from hypergames.almostsure import build_stochastic_game, pre_step, solve_asw
 from hypergames.arena import Arena, HypergameInput
 from hypergames.cli import synthesize
-from hypergames.simulate import _run_trial, _trial_rng, simulate_asw
+from hypergames.simulate import _trial_rng, _walker, audit_stealth, simulate_asw
 from hypergames.speclang import parse_formula
 
 from oracles import (
@@ -228,15 +228,20 @@ class TestEdgeGraphs:
         assert bundle.asw.x_star == x_star and bundle.asw.levels == levels
         assert bundle.asw.strategy == strategy
         assert not set(dead) & bundle.asw.x_star
-        for v in rg.states:
-            rng_a, rng_b = _trial_rng(0, 0), _trial_rng(0, 0)
-            try:
-                expected = dict_trial_oracle(g, bundle.asw.strategy, v, 10, rng_a, None)
-            except ValueError:  # a play that reaches a dead end has no next move
-                with pytest.raises(ValueError):
-                    _run_trial(rg, bundle.asw.strategy, rg.position(v), 10, rng_b, None)
-                continue
-            assert _run_trial(rg, bundle.asw.strategy, rg.position(v), 10, rng_b, None) == expected
+        for weights in (None, lambda names: [1.0] * len(names)):
+            walk = _walker(rg, bundle.asw.strategy, bundle.sr, weights)
+            for v in rg.states:
+                rng_a, rng_b = _trial_rng(0, 0), _trial_rng(0, 0)
+                try:
+                    expected = dict_trial_oracle(g, bundle.asw.strategy, v, 10, rng_a, weights)
+                except (ValueError, IndexError) as exc:  # a play reaches a dead end
+                    with pytest.raises(type(exc)):
+                        walk(rg.position(v), 10, rng_b)
+                    continue
+                got = walk(rg.position(v), 10, rng_b)
+                stealthy = audit_stealth(expected, bundle.sr, rg.target)
+                assert got == (rg.position(expected.states[-1]), len(expected.actions), stealthy)
+                assert bool(rg.at_target[got[0]]) == expected.reached_target
 
     def test_all_target_fragment(self):
         bundle = synthesize(_all_target_input())

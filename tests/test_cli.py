@@ -143,6 +143,8 @@ REPORT_GOLDENS = [
     (SCENARIO, "running_example", "perceptual", [], 0),
     (SCENARIO, "running_example", "verify", [], 2),
     (SCENARIO, "running_example", "simulate", ["--trials", "200"], 0),
+    # wins 149 of 200, so the bytes depend on every trial's draws
+    (SCENARIO, "running_example_cap5", "simulate", ["--trials", "200", "--cap", "5"], 0),
 ] + [
     (GOLDEN / f"generated_{ids}_ids.json", f"generated_{ids}_ids", mode, [], 0)
     for ids in ("int", "str")  # 15 int ids; string ids with quotes, a backslash and non-ASCII
@@ -215,6 +217,96 @@ def test_deep_formula_exit_code(tmp_path, capsys):
     assert status == 1
     assert captured.err.startswith("error: ")
     assert "nests deeper" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--mode", "simulate", "--cap", "-3"], "--cap must be at least 1"),
+        (["--mode", "simulate", "--cap", "0"], "--cap must be at least 1"),
+        (["--mode", "simulate", "--trials", "-5"], "--trials must be at least 0"),
+        (["--mode", "verify", "--cap", "-2"], "--cap must be at least 0"),
+    ],
+)
+def test_bad_trials_or_cap_exit_code(capsys, args, message):
+    status = main([str(SCENARIO), *args])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_zero_cap_is_not_the_default(capsys):
+    # --cap 0 is a bound of 0, not an unset cap replaced by the default
+    assert main([str(SCENARIO), "--mode", "verify", "--cap", "0"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["bound"] == 0
+    assert report["verified"] is False
+    assert main([str(SCENARIO), "--mode", "simulate", "--trials", "0", "--cap", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["trials"], report["win_rate"], report["cap"]) == (0, None, 1)
+
+
+_EXPLICIT_DFA = {
+    "states": ["q0", "q1"],
+    "initial": "q0",
+    "accepting": ["q1"],
+    "transitions": [
+        {"from": "q0", "symbol": [], "to": "q0"},
+        {"from": "q0", "symbol": ["A"], "to": "q1"},
+        {"from": "q1", "symbol": [], "to": "q1"},
+        {"from": "q1", "symbol": ["A"], "to": "q1"},
+    ],
+}
+
+
+def _with_dfa(document, **change):
+    document["objective"] = {"dfa": {**json.loads(json.dumps(_EXPLICIT_DFA)), **change}}
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda d: d["objective"].update(formula=5), "objective.formula"),
+        (lambda d: d.update(label_true=[]), "'label_true'"),
+        (lambda d: d.update(label_perceived=5), "'label_perceived'"),
+        (lambda d: d["label_true"].update({"5": [["A"]]}), "label_true['5']"),
+        (lambda d: d.update(init=[0]), "'init'"),
+        (lambda d: d.update(init={"id": 0}), "'init'"),
+        (lambda d: d["states"][3].update(id=[3]), "'id'"),
+        (lambda d: d["edges"][2].update({"from": [1]}), "'from'"),
+        (lambda d: d["edges"][2].update({"to": {"id": 2}}), "'to'"),
+        (lambda d: d["edges"][2].update(action=[1]), "'action'"),
+        (lambda d: d.update(edges=5), "'edges'"),
+        (lambda d: d.update(edges={"from": 0, "to": 1}), "'edges'"),
+        (lambda d: d.update(objective={"dfa": []}), "objective.dfa"),
+        (lambda d: _with_dfa(d, transitions=5), "objective.dfa.transitions"),
+        (lambda d: _with_dfa(d, transitions=[5]), "objective.dfa transition"),
+        (
+            lambda d: _with_dfa(d, transitions=[{"from": "q0", "symbol": "A", "to": "q1"}]),
+            "objective.dfa transition",
+        ),
+        (
+            lambda d: _with_dfa(d, transitions=[{"from": "q0", "symbol": [["A"]], "to": "q1"}]),
+            "objective.dfa transition",
+        ),
+    ],
+)
+def test_malformed_document_exit_code(tmp_path, capsys, mutate, field):
+    # values of the wrong JSON type are input errors naming their field, not tracebacks
+    document = json.loads(SCENARIO.read_text())
+    mutate(document)
+    scenario = tmp_path / "malformed.json"
+    scenario.write_text(json.dumps(document))
+    status = main([str(scenario), "--mode", "sure"])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.err.startswith("error: ")
+    assert field in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -7,8 +8,8 @@ from hypergames.arena import HypergameInput
 from hypergames.cli import synthesize
 from hypergames.simulate import (
     Trace,
-    _run_trial,
     _trial_rng,
+    _walker,
     audit_stealth,
     simulate_asw,
     verify_sure,
@@ -158,6 +159,11 @@ class TestSimulateAsw:
         with pytest.raises(ValueError):
             simulate_asw(g, {}, g.initial, trials=1, cap=0, seed=0, sr=running_bundle.sr)
 
+    def test_negative_trials_rejected(self, running_bundle):
+        g = running_bundle.stochastic
+        with pytest.raises(ValueError, match="trials"):
+            simulate_asw(g, {}, g.initial, trials=-5, cap=10, seed=0, sr=running_bundle.sr)
+
     def test_weights_override(self, running_bundle):
         g = running_bundle.stochastic
         # bias the adversary fully toward the lexicographically first action;
@@ -177,29 +183,124 @@ class TestSimulateAsw:
         assert stats.stealth_violations == 0
 
 
+class _DroppingSr:
+    """An SR map that disagrees with the game: it finds the ``dropped``
+    actions irrational wherever the real map ``sr`` kept them."""
+
+    def __init__(self, sr, dropped):
+        self.sr = sr
+        self.product2 = sr.product2
+        self.dropped = frozenset(dropped)
+
+    def owner_actions(self, s, p):
+        return self.sr.owner_actions(s, p) - self.dropped
+
+
+def _reversed_actions(inp):
+    """``inp`` with every state's actions listed in reverse order, so that the
+    restricted game's ``names`` are not in sorted order."""
+    arena = inp.arena
+    transitions = {s: dict(reversed(moves.items())) for s, moves in arena.transitions.items()}
+    return replace(inp, arena=replace(arena, transitions=transitions))
+
+
+def _oracle_outcome(rg, trace, sr):
+    """What the walk must return for the play ``trace``: its end position,
+    its number of moves and the per-trace audit's verdict."""
+    return rg.position(trace.states[-1]), len(trace.actions), audit_stealth(trace, sr, rg.target)
+
+
 class TestTrialAgainstDictWalk:
-    """The int-graph trial against the walk over the stochastic game's dicts."""
+    """The int-graph walk against the walk over the stochastic game's dicts."""
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_same_traces(self, running_input, weighted):
-        weights = (lambda names: [len(a) + i for i, a in enumerate(names)]) if weighted else None
-        inputs = [running_input, corridor_input(200)]
+        # one walker per game, so later trials reuse the moves earlier ones
+        # learnt; the weights depend on the names, so their order matters
+        def by_name(names):
+            return [len(a) + i + ord(a[-1]) for i, a in enumerate(names)]
+
+        weights = by_name if weighted else None
+        inputs = [running_input, _reversed_actions(running_input), corridor_input(200)]
         inputs += [small_hypergame_input(random.Random(seed)) for seed in range(5)]
         for inp in inputs:
             bundle = synthesize(inp)
             g, rg = bundle.stochastic, bundle.restricted
+            walk = _walker(rg, bundle.asw.strategy, bundle.sr, weights)
             cap = 3 * len(rg.states)
             for seed in range(20):
                 for index in range(10):
                     start = rg.states[(seed * 10 + index) % len(rg.states)]
-                    got = _run_trial(
-                        rg, bundle.asw.strategy, rg.position(start), cap,
-                        _trial_rng(seed, index), weights,
-                    )
-                    expected = dict_trial_oracle(
+                    got = walk(rg.position(start), cap, _trial_rng(seed, index))
+                    trace = dict_trial_oracle(
                         g, bundle.asw.strategy, start, cap, _trial_rng(seed, index), weights
                     )
-                    assert got == expected
+                    assert got == _oracle_outcome(rg, trace, bundle.sr)
+                    assert bool(rg.at_target[got[0]]) == trace.reached_target
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_violations_equal_per_trace_audit(self, running_input, weighted):
+        # an SR map that drops some of the strategy's actions: every trial
+        # that plays one before the target is a violation, as its trace's audit says
+        weights = (lambda names: [1.0 + i for i in range(len(names))]) if weighted else None
+        inputs = [running_input, corridor_input(60)]
+        inputs += [small_hypergame_input(random.Random(seed)) for seed in range(10)]
+        counts = []
+        for inp in inputs:
+            bundle = synthesize(inp)
+            g, rg, strat = bundle.stochastic, bundle.restricted, bundle.asw.strategy
+            sr = _DroppingSr(bundle.sr, sorted(set(strat.values()))[::2])
+            cap = 2 * len(rg.states)
+            for start in rg.states:
+                try:
+                    traces = [
+                        dict_trial_oracle(g, strat, start, cap, _trial_rng(4, index), weights)
+                        for index in range(30)
+                    ]
+                except (ValueError, IndexError) as exc:  # a play reaches a dead end
+                    with pytest.raises(type(exc)):
+                        simulate_asw(g, strat, start, 30, cap, 4, sr, weights=weights)
+                    continue
+                stats = simulate_asw(g, strat, start, 30, cap, 4, sr, weights=weights)
+                expected = sum(not audit_stealth(trace, sr, rg.target) for trace in traces)
+                assert stats.stealth_violations == expected
+                assert stats.wins == sum(trace.reached_target for trace in traces)
+                counts.append(expected)
+        assert any(0 < n < 30 for n in counts)
+
+    def test_running_example_violations(self, running_bundle):
+        # dropping P1's only strategy action 0->1: a trial from 1 violates
+        # stealth iff the adversary sends the play back to 0 before the target
+        g, rg = running_bundle.stochastic, running_bundle.restricted
+        sr = _DroppingSr(running_bundle.sr, {"0->1"})
+        strat = running_bundle.asw.strategy
+        stats = simulate_asw(g, strat, (1, "q0", "q0"), 200, 50, 0, sr)
+        back = sum(
+            "1->0" in dict_trial_oracle(g, strat, (1, "q0", "q0"), 50, _trial_rng(0, i), None).actions
+            for i in range(200)
+        )
+        assert 0 < stats.stealth_violations == back < 200
+        assert simulate_asw(g, strat, g.initial, 20, 50, 0, sr).stealth_violations == 20
+        # a trial cut before P1 moves again has not violated stealth
+        assert simulate_asw(g, strat, (1, "q0", "q0"), 200, 1, 0, sr).stealth_violations == 0
+
+    def test_weights_get_a_fresh_sorted_list(self, running_bundle):
+        g, strat, sr = running_bundle.stochastic, running_bundle.asw.strategy, running_bundle.sr
+        seen = []
+
+        def spoiling(names):
+            seen.append(list(names))
+            out = [1.0 + len(n) + i for i, n in enumerate(names)]
+            names.clear()
+            return out
+
+        def plain(names):
+            return [1.0 + len(n) + i for i, n in enumerate(names)]
+
+        for start in running_bundle.restricted.states:
+            a = simulate_asw(g, strat, start, 40, 30, 2, sr, weights=spoiling)
+            assert a == simulate_asw(g, strat, start, 40, 30, 2, sr, weights=plain)
+        assert seen and all(names == sorted(names) and names for names in seen)
 
     def test_simulation_reads_no_dict_view(self, running_input):
         bundle = synthesize(running_input)
