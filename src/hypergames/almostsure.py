@@ -6,11 +6,13 @@ actions.  P1's choice states keep their (possibly restricted) actions, the
 adversary's states become probabilistic with known support only, and the
 deception target is absorbing.  The almost-sure winning region is computed by
 the classic almost-sure reachability algorithm for MDPs (de Alfaro 1997;
-Chatterjee & Henzinger, SODA 2011): each outer round runs one backward
-breadth-first search from the target over the candidate region ``X`` and
-shrinks ``X`` to what it found.  A round is linear in the edges of the
-restricted game, and the search layer of a state is its level.  The game is a
-view of the restricted game, and the solve runs on its int graph.
+Chatterjee & Henzinger, SODA 2011), an alternation of two attractors on the
+reachability solver's kernel: each outer round finds what reaches the target
+with positive probability inside the candidate region ``X``, then a drop pass
+removes from ``X`` the adversary's attractor of what the round missed.  Each
+round and pass is linear in the edges of the restricted game, and the search
+layer of a state in the last round is its level.  The game is a view of the
+restricted game, and the solve runs on its int graph.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import compress
 from typing import Iterable
 
 from .hypergame import Hts, HtsState, RestrictedGame
-from .reachsolver import predecessors
+from .reachsolver import _attractor
 
 __all__ = ["StochasticGame", "AswResult", "build_stochastic_game", "pre_step", "solve_asw"]
 
@@ -86,9 +88,6 @@ class StochasticGame:
                 out[v] = frozenset(rg.transitions[v].values())
         return out
 
-    def is_choice(self, v: HtsState) -> bool:
-        return v in self.choice_actions
-
 
 def build_stochastic_game(rg: RestrictedGame) -> StochasticGame:
     """View the restricted game as a one-player stochastic game, in O(1).
@@ -147,54 +146,39 @@ class AswResult:
 
 
 def solve_asw(g: StochasticGame) -> AswResult:
-    """Almost-sure winning region by repeated backward search.
+    """Almost-sure winning region by alternating two attractors.
 
-    Runs on the restricted game's int graph.  Each outer round searches
-    backward from the target inside the candidate region ``X``: a choice
-    state is admitted on any edge into the found set, a chance state only if
-    its whole support lies in ``X``.  ``X`` shrinks to the found set until a
-    round finds all of it.  The strategy maps every P1 choice state of ``X``
-    outside the target to the lexicographically smallest action whose
-    successor has a lower level; inside the target it is undefined, P1 having
-    switched to his true winning strategy.  Only the result is decoded to
-    states.
+    Runs on the restricted game's int graph with the target absorbing, both
+    halves of each outer round on the attractor kernel.  The round searches
+    backward from the target inside the candidate region ``X``, every state
+    joining on any edge into the found set.  While it misses part of ``X``,
+    the drop pass takes out of ``X`` the adversary's attractor of what it
+    missed: a chance state with a successor dropped, a choice state with all
+    of its successors dropped.  So every chance state left in ``X`` has its
+    whole support there, and each round and pass is one kernel call, linear
+    in the edges.  The strategy maps every P1 choice state of ``X`` outside
+    the target to the lexicographically smallest action whose successor has
+    a lower level; inside the target it is undefined, P1 having switched to
+    his true winning strategy.  Only the result is decoded to states.
     """
     rg = g.restricted
     succ, p1, at_target = rg.succ, rg.p1, rg.at_target
     n = len(succ)
-    # The target is absorbing: its own moves lead nowhere.
-    start, flat = predecessors([() if goal else out for out, goal in zip(succ, at_target)])
+    # The target is absorbing, and a state out of X loses its moves, so no
+    # later round can reach it again.
+    graph = [() if goal else out for out, goal in zip(succ, at_target)]
     targets = list(compress(range(n), at_target))
-    on_target = [-1] * n
-    for i in targets:
-        on_target[i] = 0
-    x = set(range(n)).difference(targets)  # X less the target, which never leaves X
-    # live[i]: i is in X and, if it is a chance state, so is its whole support
-    live = bytearray(b"\x01") * n
+    anyone = b"\x01" * n  # in a round every state chooses
+    chance = bytes(not owned for owned in p1)  # in a drop pass only chance states do
+    dropped: list[int] = []  # every state out of X
     while True:
-        level = on_target.copy()
-        reached: list[int] = []
-        frontier = targets
-        depth = 0
-        while frontier:
-            depth += 1
-            found = []
-            for j in frontier:
-                for i in flat[start[j]:start[j + 1]]:
-                    if level[i] < 0 and live[i]:
-                        level[i] = depth
-                        found.append(i)
-            reached += found
-            frontier = found
-        if len(reached) == len(x):
+        level = _attractor(graph, anyone, targets)
+        if level.count(-1) == len(dropped):  # the round reached all of X
             break
-        dropped = x.difference(reached)
-        x.difference_update(dropped)
-        for j in dropped:
-            live[j] = 0
-            for i in flat[start[j]:start[j + 1]]:
-                if not p1[i]:
-                    live[i] = 0
+        missed = [i for i, lv in enumerate(level) if lv < 0]
+        dropped = [i for i, lv in enumerate(_attractor(graph, chance, missed)) if lv >= 0]
+        for i in dropped:
+            graph[i] = ()
 
     states, names = rg.states, rg.names
     level_of: dict[HtsState, int] = {}

@@ -273,14 +273,7 @@ def export_dot(graph, regions=None, path: str | Path | None = None) -> str:
         for v in regions.get("perceived_win", ()):
             fills[v] = "lightcoral"
 
-    seen = {initial}
-    stack = [initial]
-    while stack:
-        v = stack.pop()
-        for dst in transitions[v].values():
-            if dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
+    seen = hypergame._forward_closure(initial, transitions.__getitem__)
 
     lines = ["digraph game {", "  rankdir=LR;"]
     for v in states:
@@ -349,6 +342,9 @@ def run(config: RunConfig) -> int:
         bundle = synthesize(inp, dfa_cap=config.dfa_cap, full_space=config.full_space)
     except DfaSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     except FormulaError as exc:
         print(f"error: {exc}", file=sys.stderr)

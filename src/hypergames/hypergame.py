@@ -133,9 +133,6 @@ class SrActionMap:
             out = self._actions[(s, p)] = frozenset(self.kept(j)[0])
             return out
 
-    def for_player(self, player: int, s: StateId, p: str) -> frozenset[str]:
-        return sr_actions(self.product2, self.regions2, (s, p), player)
-
     @cached_property
     def by_state(self) -> dict[tuple, frozenset[str]]:
         return {(s, p): self.owner_actions(s, p) for s, p in self.product2.states}

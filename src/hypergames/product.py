@@ -8,8 +8,8 @@ label, both products and the hypergame transition system share one list per
 label.  The solver gets its int adjacency straight from the arena's shared int
 adjacency (:attr:`Arena.adjacency`) and the rows, and :meth:`ProductGame.solve`
 returns regions that keep the kernel's level list; the state-keyed views
-(``step``, ``states``, ``owner``, ``transitions``, ``target``) are built only
-when something reads them.
+(``states``, ``owner``, ``transitions``, ``target``) are built only when
+something reads them.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ class ProductGame:
     ``dfa.states`` of the automaton state after entering arena state ``i``
     from automaton state ``k``; a state ``(s, q)`` has the int position
     ``s_index * |Q| + q_index``, the order of ``states``.
-    :meth:`successors` gives one state's moves; ``step[(q, s)]`` (the
-    automaton state after entering ``s`` from ``q``), ``states``, ``owner``,
+    :meth:`successors` gives one state's moves; ``states``, ``owner``,
     ``transitions`` and ``target`` are built on first access.
     """
 
@@ -57,15 +56,6 @@ class ProductGame:
         i, k = adj.where[s], self.dfa.index[q]
         dsts, rows = self.arena.states, self.rows
         return {a: (dsts[d], qs[rows[d][k]]) for a, d in zip(adj.names[i], adj.succ[i])}
-
-    @cached_property
-    def step(self) -> dict[tuple[str, StateId], str]:
-        qs = self.dfa.states
-        return {
-            (q, s): qs[row[k]]
-            for s, row in zip(self.arena.states, self.rows)
-            for k, q in enumerate(qs)
-        }
 
     @cached_property
     def states(self) -> tuple[ProductState, ...]:

@@ -15,8 +15,9 @@ result keeps the kernel's level list: :class:`Regions` decodes its
 state-keyed sets and ranks only when they are first read, and
 :func:`p1_strategy` and :func:`p2_strategy` derive the min-action strategies
 from the same levels, each only for a caller that keeps it.
-:func:`predecessors` is the kernel's predecessor build, shared with the
-almost-sure solve.
+
+The almost-sure solve runs both halves of its outer rounds on the same kernel;
+the predecessor build, :func:`_predecessors`, is the kernel's alone.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "Strategy",
     "p1_strategy",
     "p2_strategy",
-    "predecessors",
     "solve_indexed",
     "solve_reachability",
 ]
@@ -123,7 +123,7 @@ def _index_game(game: GameGraph) -> IndexedGame:
     )
 
 
-def predecessors(succ: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+def _predecessors(succ: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     """Every ``i`` with an edge to ``j``, once per edge, as ``flat[start[j]:start[j + 1]]``.
 
     Two flat lists rather than one list per state keep the number of objects
@@ -147,7 +147,7 @@ def predecessors(succ: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
 
 def _attractor(succ: Sequence[Sequence[int]], p1: bytes, seeds: Iterable[int]) -> list[int]:
     """Attractor level of every state for P1, ``-1`` outside the attractor."""
-    start, flat = predecessors(succ)
+    start, flat = _predecessors(succ)
     pending = [len(out) for out in succ]  # P2 successors not yet attracted
     level = [-1] * len(succ)
     layer = list(seeds)

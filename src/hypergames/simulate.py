@@ -206,9 +206,7 @@ def _walker(
     one ``randrange`` (or ``choices``) per move, so a trial's draws are those
     of the play it stands for.  Each position's move is worked out on the
     first visit and kept for every later trial of this walker.  A strategy
-    action that is not available, or a dead end, raises ``ValueError`` there
-    (``IndexError``, from ``random.choices``, at an adversary's dead end
-    under ``weights``).
+    action that is not available, or a dead end, raises ``ValueError`` there.
     """
     states, succ, names, p1, at_target = rg.states, rg.succ, rg.names, rg.p1, rg.at_target
     owner = sr.product2.arena.owner
@@ -228,6 +226,8 @@ def _walker(
             s, _q, p = state
             if owner[s] == 1 and action not in sr.owner_actions(s, p):
                 move = ~move
+        elif not here:
+            raise ValueError(f"adversary state {states[i]!r} has no moves")
         else:
             rank = sorted(range(len(here)), key=here.__getitem__)
             move = tuple(succ[i][k] for k in rank)

@@ -268,7 +268,7 @@ def dict_trial_oracle(g: StochasticGame, strat, start, cap, rng, weights):
     for _ in range(cap):
         if state in g.target:
             return Trace(tuple(states), tuple(actions), reached_target=True)
-        if g.is_choice(state):
+        if state in g.choice_actions:
             moves = g.choice_actions[state]
             action = strat.get(state)
             if action is None:

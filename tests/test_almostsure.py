@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from hypergames import almostsure
 from hypergames.almostsure import build_stochastic_game, pre_step, solve_asw
 from hypergames.arena import Arena, HypergameInput
 from hypergames.cli import synthesize
+from hypergames.reachsolver import _attractor
 from hypergames.simulate import _trial_rng, _walker, audit_stealth, simulate_asw
 from hypergames.speclang import parse_formula
 
@@ -167,6 +169,26 @@ class TestAgainstNestedFixedPoint:
         assert sorted(set(asw.level.values())) == list(range(n - 1))
         assert len(asw.strategy) == n // 2 - 1
 
+    def test_drop_chain_takes_two_rounds(self, monkeypatch):
+        # One drop pass removes the whole chain, however long: the solve runs
+        # a round, a drop pass and a round, not one round per chain state.
+        n = 2000
+        g = synthesize(_drop_chain_input(n)).stochastic
+        assert len(g.states) == n + 2
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _attractor(*args)
+
+        monkeypatch.setattr(almostsure, "_attractor", counted)
+        asw = solve_asw(g)
+        targets = sorted(g.restricted.position(v) for v in g.target)
+        rounds = [args for args in calls if args[2] == targets]  # a round seeds the target
+        assert len(rounds) == 2 and len(calls) == 3
+        assert asw.x_star == g.target and len(g.target) == 1
+        assert (asw.x_star, asw.levels, asw.strategy) == nested_fixed_point_oracle(g)
+
 
 def _edge_input(owner, transitions, label_true, label_perceived):
     states = tuple(sorted(owner))
@@ -212,6 +234,21 @@ def _all_target_input():
     )
 
 
+def _drop_chain_input(n):
+    # Adversary states 0..n-1, each moving to the next or to the goal n; the
+    # last moves to the goal or to the trap n + 1, which loops on itself.  The
+    # adversary perceives both the goal and the trap as P1's win, so every
+    # move looks rational to her, and no state but the goal wins almost surely.
+    goal, trap = n, n + 1
+    owner = {i: 2 for i in range(n)}
+    owner[goal] = owner[trap] = 1
+    transitions = {i: {f"{i}->{i + 1}": i + 1, f"{i}->{goal}": goal} for i in range(n - 1)}
+    transitions[n - 1] = {f"{n - 1}->{trap}": trap, f"{n - 1}->{goal}": goal}
+    transitions[goal] = {f"{goal}->{goal}": goal}
+    transitions[trap] = {f"{trap}->{trap}": trap}
+    return _edge_input(owner, transitions, label_true={goal}, label_perceived={goal, trap})
+
+
 class TestEdgeGraphs:
     """Dead ends outside the target, and a fragment that is all target."""
 
@@ -234,8 +271,8 @@ class TestEdgeGraphs:
                 rng_a, rng_b = _trial_rng(0, 0), _trial_rng(0, 0)
                 try:
                     expected = dict_trial_oracle(g, bundle.asw.strategy, v, 10, rng_a, weights)
-                except (ValueError, IndexError) as exc:  # a play reaches a dead end
-                    with pytest.raises(type(exc)):
+                except (ValueError, IndexError):  # a play reaches a dead end
+                    with pytest.raises(ValueError):
                         walk(rg.position(v), 10, rng_b)
                     continue
                 got = walk(rg.position(v), 10, rng_b)
@@ -258,3 +295,4 @@ class TestEdgeGraphs:
             bundle.stochastic, {}, rg.initial, trials=5, cap=3, seed=0, sr=bundle.sr
         )
         assert stats.wins == 5
+

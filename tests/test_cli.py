@@ -88,6 +88,21 @@ def test_dfa_cap_exit_code(capsys):
     assert main([str(SCENARIO), "--mode", "sure", "--dfa-cap", "1"]) == 3
 
 
+def test_memory_error_exit_code(monkeypatch, capsys):
+    # Running out of memory in synthesis is a resource cap (exit 3), not a
+    # traceback; the stub raises without allocating anything.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("hypergames.cli.synthesize", out_of_memory)
+    status = main([str(SCENARIO), "--mode", "sure"])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_dot_output_deterministic(tmp_path):
     a, b = tmp_path / "a.dot", tmp_path / "b.dot"
     assert main([str(SCENARIO), "--mode", "sure", "--out", str(tmp_path / "r.json"), "--dot", str(a)]) == 0

@@ -40,20 +40,20 @@ GOLDEN_SURE = {
 
 class TestSrActions:
     def test_adversary_examples(self, running_bundle):
-        sr = running_bundle.sr
+        p2, r2 = running_bundle.product_perceived, running_bundle.regions_perceived
         # at 1 the adversary thinks she is winning toward 2 and just must not
         # hand the play over: both 1->0 and 1->4 keep her inside her region
-        assert sr.for_player(2, 1, "q0") == {"1->0", "1->4"}
+        assert sr_actions(p2, r2, (1, "q0"), 2) == {"1->0", "1->4"}
         # at 4 she is the safety player and believes she is winning, but
         # 4->3 would hand P1 his perceived region, so only 4->5 survives
-        assert sr.for_player(2, 4, "q0") == {"4->5"}
-        assert sr.for_player(1, 3, "q0") == {"3->2"}
+        assert sr_actions(p2, r2, (4, "q0"), 2) == {"4->5"}
+        assert sr_actions(p2, r2, (3, "q0"), 1) == {"3->2"}
 
     def test_owner_map_matches_pointwise(self, running_bundle):
         sr = running_bundle.sr
-        p2 = running_bundle.product_perceived
+        p2, r2 = running_bundle.product_perceived, running_bundle.regions_perceived
         for s, p in p2.states:
-            assert sr.owner_actions(s, p) == sr.for_player(p2.owner[(s, p)], s, p)
+            assert sr.owner_actions(s, p) == sr_actions(p2, r2, (s, p), p2.owner[(s, p)])
 
     def test_unknown_state_rejected(self, running_bundle):
         with pytest.raises(ValueError):
@@ -64,7 +64,9 @@ class TestSrActions:
                 1,
             )
         with pytest.raises(ValueError):
-            running_bundle.sr.for_player(3, 1, "q0")
+            sr_actions(
+                running_bundle.product_perceived, running_bundle.regions_perceived, (1, "q0"), 3
+            )
 
     def test_by_state_matches_pointwise_and_definition(self, running_input):
         for inp in product_cases(running_input):

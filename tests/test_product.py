@@ -101,16 +101,14 @@ def test_regions_and_true_strategy_match_dict_oracle(running_input):
                 assert bundle.true_strategy == strat1
 
 
-def test_step_view_matches_rows(running_input):
+def test_rows_match_dfa_delta(running_input):
     for inp in product_cases(running_input):
         bundle = synthesize(inp)
         d, arena = bundle.dfa, inp.arena
         for prod in (bundle.product_true, bundle.product_perceived):
-            assert prod.step == {
-                (q, s): d.delta[(q, arena.label(s, prod.which))]
-                for s in arena.states
-                for q in d.states
-            }
+            for s, row in zip(arena.states, prod.rows):
+                for k, q in enumerate(d.states):
+                    assert d.states[row[k]] == d.delta[(q, arena.label(s, prod.which))]
 
 
 def test_synthesize_builds_no_product_dicts():
@@ -121,4 +119,4 @@ def test_synthesize_builds_no_product_dicts():
     assert len(bundle.dfa.states) == 8
     for prod in (bundle.product_true, bundle.product_perceived):
         # a cached view is stored in the instance dict on first access
-        assert not {"step", "states", "owner", "transitions", "target"} & set(vars(prod))
+        assert not {"states", "owner", "transitions", "target"} & set(vars(prod))
