@@ -19,10 +19,11 @@ identifiers default to ``"src->dst"`` when omitted.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from . import speclang
 from .reachsolver import IndexedGame

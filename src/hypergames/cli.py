@@ -15,8 +15,14 @@ Modes
     Exhaustive check of the sure strategy from the initial state (exit 2 with
     a counterexample when it fails).
 
-Exit codes: 0 success, 1 input/schema error, 2 verification failure, 3
-resource cap exceeded.
+The ``perceptual``, ``sure`` and ``asw`` reports are streamed: rendered in
+pieces, each state's text joined once, and written to ``--out`` or stdout as
+they come, byte for byte what ``json.dumps(report, indent=2, sort_keys=True)``
+would write.  ``simulate`` and ``verify`` dump their few fields with
+``json.dumps``.
+
+Exit codes: 0 success, 1 input/schema error (or an ``--out`` or ``--dot`` path
+that cannot be written), 2 verification failure, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -24,10 +30,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Iterable, Iterator
 
 from . import almostsure, hypergame, simulate as sim
 from .arena import Arena, ArenaFormatError, HypergameInput, load_arena_file
@@ -135,91 +143,167 @@ def synthesize(inp: HypergameInput, dfa_cap: int = 10_000, full_space: bool = Fa
 # ---------------------------------------------------------------------------
 
 
+# A report is laid out as ``json.dumps(report, indent=2, sort_keys=True)``
+# would lay it out, without building it as a dict: with ``indent`` set that
+# encoder runs in pure Python and holds every chunk before joining them.  Each
+# state's text is joined once from memoised component encodings, the texts are
+# sorted as strings, and the report is written in pieces.
+
 _encode = json.JSONEncoder(default=str).encode  # json.dumps(v, default=str)
 
 
-def _json_order() -> Callable[[Any], str]:
-    """A sort key that orders report states as their ``json.dumps`` texts do.
+def _pad(depth: int) -> str:
+    """The line break and indent that precede an item at nesting ``depth``."""
+    return "\n" + "  " * depth
 
-    The key is that text itself, joined from the encodings of a state's
-    components; one key encodes each distinct component once.  Components are
-    memoised by value, which is exact because a report's states come from one
-    arena, whose ids are distinct as dict keys, and one DFA.
+
+class _Components(dict):
+    """Compact JSON encodings of state components, memoised by value.
+
+    That is exact because a report's states come from one arena, whose ids
+    are distinct as dict keys, and one DFA, whose state names are strings.
+    Action names are not memoised here: the action ``true`` and the id ``1``
+    are equal as keys but encode differently.
     """
-    memo: dict = {}
 
-    def encode(c: Any) -> str:
-        text = memo.get(c)
-        if text is None:
-            text = memo[c] = _encode(c)
+    def __missing__(self, c: Any) -> str:
+        text = self[c] = _encode(c)
         return text
 
-    def key(v: Any) -> str:
-        if isinstance(v, (tuple, list)):
-            return "[" + ", ".join(map(encode, v)) + "]"
-        return encode(v)
 
-    return key
+def _texts(states: Iterable, depth: int, encodings: _Components) -> list[str]:
+    """The texts of ``states``, in their order, laid out at nesting ``depth``.
 
+    A tuple state is an array with one component a line.  Components, and a
+    state that is not a tuple, are JSON scalars, as a document's ids are; their
+    compact encoding is their indented one.
 
-def _sorted_states(states, key: Callable[[Any], str]) -> list:
-    return sorted((list(v) if isinstance(v, tuple) else v for v in states), key=key)
-
-
-def _strategy_rows(strategy: Strategy, key: Callable[[Any], str]) -> list[dict[str, Any]]:
-    rows = [
-        {"state": list(v) if isinstance(v, tuple) else v, "action": a}
-        for v, a in strategy.items()
+    Sorted as strings, texts of tuples of one length keep the order of their
+    compact texts, the order reports use, as long as the last component
+    encodes as a JSON string: every other component is followed by a comma in
+    both layouts, and no JSON string is a prefix of another.  A DFA state name
+    is a string (the compiler names states ``q<n>``, the explicit-DFA loader
+    applies ``str``).  A numeric last component breaks the order: compactly
+    ``[9, 100]`` sorts before ``[9, 10]``, laid out here after it.
+    """
+    pad = _pad(depth + 1)
+    head, sep, tail = "[" + pad, "," + pad, _pad(depth) + "]"
+    get = encodings.__getitem__
+    return [
+        head + sep.join(map(get, v)) + tail if isinstance(v, tuple) else get(v) for v in states
     ]
-    return sorted(rows, key=lambda row: key(row["state"]))
 
 
-def build_report(bundle: SynthesisBundle, config: RunConfig) -> dict[str, Any]:
-    mode = config.mode
-    order = _json_order()
+def _array(items: Iterable[str], depth: int) -> str:
+    """A JSON array at nesting ``depth`` of item texts laid out one level deeper."""
+    pad = _pad(depth + 1)
+    body = ("," + pad).join(items)
+    return "[" + pad + body + _pad(depth) + "]" if body else "[]"
 
-    def states(collection) -> list:
-        return _sorted_states(collection, order)
 
+def _object(fields: dict[str, str | Iterable[str]], depth: int) -> Iterator[str]:
+    """The pieces of a JSON object at nesting ``depth``, its keys sorted.
+
+    Each value is a finished text or an iterable of the pieces of one.
+    """
+    pad = _pad(depth + 1)
+    opening = "{"
+    for key in sorted(fields):
+        yield opening + pad + _encode(key) + ": "
+        value = fields[key]
+        if isinstance(value, str):
+            yield value
+        else:
+            yield from value
+        opening = ","
+    yield _pad(depth) + "}"
+
+
+def _strategy(strategy: Strategy, encodings: _Components) -> str:
+    """A strategy as a top-level field: a ``{"action", "state"}`` object per
+    state, in the states' order."""
+    rows = sorted(zip(_texts(strategy, 3, encodings), map(_encode, strategy.values())))
+    pad, close = _pad(3), _pad(2) + "}"
+    return _array(
+        ["{" + pad + '"action": ' + a + "," + pad + '"state": ' + s + close for s, a in rows], 1
+    )
+
+
+def _levels(ranked: list[tuple[str, int]]) -> Iterator[str]:
+    """The pieces of the cumulative level sets ``Y_0 ⊆ Y_1 ⊆ ...`` as a top-level
+    field, one level a piece.
+
+    ``ranked`` pairs each state of X* with its level, its text laid out at
+    nesting 2, in text order.  Level ``i`` lists, in that order, the states of
+    level at most ``i``, so the whole quadratic text is never held at once.
+    """
+    texts = [text.replace("\n", _pad(1)) for text, _ in ranked]  # one level deeper
+    layers: list[list[int]] = [[] for _ in range(max((lv for _, lv in ranked), default=0) + 1)]
+    for rank, (_, lv) in enumerate(ranked):
+        layers[lv].append(rank)
+    shown = [False] * len(texts)
+    opening = "["
+    for layer in layers:
+        for rank in layer:
+            shown[rank] = True
+        yield opening + _pad(2) + _array(compress(texts, shown), 2)
+        opening = ","
+    yield _pad(1) + "]"
+
+
+def report_pieces(bundle: SynthesisBundle, mode: str) -> Iterator[str]:
+    """The report of a region mode (``perceptual``, ``sure`` or ``asw``) in pieces.
+
+    Joined, they are the report's ``json.dumps(..., indent=2, sort_keys=True)``
+    text, with every array of states in the order of their compact JSON texts
+    (see :func:`_texts`).  The level sets of ``asw`` come one level a piece.
+    """
+    encodings = _Components()
+
+    def states(collection, depth: int) -> str:
+        return _array(sorted(_texts(collection, depth + 1, encodings)), depth)
+
+    def solved(true: Regions, perceived: Regions) -> Iterator[str]:
+        return _object(
+            {
+                label: _object(
+                    {"win1": states(regions.win1, 3), "win2": states(regions.win2, 3)}, 2
+                )
+                for label, regions in (("true", true), ("perceived", perceived))
+            },
+            1,
+        )
+
+    fields: dict[str, str | Iterable[str]]
     if mode == "perceptual":
-        return {
-            "mode": mode,
-            "arena_level": {
-                "true": {
-                    "win1": states(bundle.arena_regions_true.win1),
-                    "win2": states(bundle.arena_regions_true.win2),
-                },
-                "perceived": {
-                    "win1": states(bundle.arena_regions_perceived.win1),
-                    "win2": states(bundle.arena_regions_perceived.win2),
-                },
-            },
-            "product_level": {
-                "true": {
-                    "win1": states(bundle.regions_true.win1),
-                    "win2": states(bundle.regions_true.win2),
-                },
-                "perceived": {
-                    "win1": states(bundle.regions_perceived.win1),
-                    "win2": states(bundle.regions_perceived.win2),
-                },
-            },
+        fields = {
+            "arena_level": solved(bundle.arena_regions_true, bundle.arena_regions_perceived),
+            "product_level": solved(bundle.regions_true, bundle.regions_perceived),
         }
-    if mode == "sure":
-        return {
-            "mode": mode,
-            "target": states(bundle.restricted.target),
-            "region": states(bundle.sure_regions.win1),
-            "strategy": _strategy_rows(bundle.sure_strategy, order),
+    elif mode == "sure":
+        fields = {
+            "target": states(bundle.restricted.target, 1),
+            "region": states(bundle.sure_regions.win1, 1),
+            "strategy": _strategy(bundle.sure_strategy, encodings),
         }
-    if mode == "asw":
-        return {
-            "mode": mode,
-            "x_star": states(bundle.asw.x_star),
-            "levels": [states(level) for level in bundle.asw.levels],
-            "strategy": _strategy_rows(bundle.asw.strategy, order),
+    elif mode == "asw":
+        level = bundle.asw.level  # its keys are exactly X*
+        ranked = sorted(zip(_texts(level, 2, encodings), level.values()))
+        fields = {
+            "x_star": _array([text for text, _ in ranked], 1),
+            "levels": _levels(ranked),
+            "strategy": _strategy(bundle.asw.strategy, encodings),
         }
-    raise ValueError(f"no report for mode {mode!r}")
+    else:
+        raise ValueError(f"no report for mode {mode!r}")
+    fields["mode"] = _encode(mode)
+    return _object(fields, 0)
+
+
+def build_report(bundle: SynthesisBundle, config: RunConfig) -> str:
+    """The report text of a region mode, as :func:`run` writes it, without the
+    final newline."""
+    return "".join(report_pieces(bundle, config.mode))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +436,7 @@ def run(config: RunConfig) -> int:
 
     status = 0
     if config.mode in ("perceptual", "sure", "asw"):
-        report = build_report(bundle, config)
+        pieces = report_pieces(bundle, config.mode)
     elif config.mode == "simulate":
         cap = 100 * len(bundle.restricted.states) if config.cap is None else config.cap
         stats = sim.simulate_asw(
@@ -376,6 +460,7 @@ def run(config: RunConfig) -> int:
             "seed": stats.seed,
             "cap": cap,
         }
+        pieces = [json.dumps(report, indent=2, sort_keys=True)]
     elif config.mode == "verify":
         bound = len(bundle.restricted.states) if config.cap is None else config.cap
         outcome = sim.verify_sure(
@@ -398,30 +483,33 @@ def run(config: RunConfig) -> int:
         }
         if not outcome.verified:
             status = 2
+        pieces = [json.dumps(report, indent=2, sort_keys=True)]
     else:
         print(f"error: unknown mode {config.mode!r}", file=sys.stderr)
         return 1
 
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if config.out:
-        Path(config.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
-
-    if config.dot:
-        if config.mode == "perceptual":
-            export_dot(
-                bundle.inp.arena,
-                {
-                    "true_win": bundle.arena_regions_true.win1,
-                    "perceived_win": bundle.arena_regions_perceived.win1,
-                },
-                config.dot,
-            )
-        elif config.mode == "asw":
-            export_dot(bundle.stochastic, None, config.dot)
-        else:
-            export_dot(bundle.restricted, bundle.sure_regions, config.dot)
+    try:
+        target = open(config.out, "w", encoding="utf-8") if config.out else nullcontext(sys.stdout)
+        with target as handle:
+            handle.writelines(pieces)
+            handle.write("\n")
+        if config.dot:
+            if config.mode == "perceptual":
+                export_dot(
+                    bundle.inp.arena,
+                    {
+                        "true_win": bundle.arena_regions_true.win1,
+                        "perceived_win": bundle.arena_regions_perceived.win1,
+                    },
+                    config.dot,
+                )
+            elif config.mode == "asw":
+                export_dot(bundle.stochastic, None, config.dot)
+            else:
+                export_dot(bundle.restricted, bundle.sure_regions, config.dot)
+    except OSError as exc:  # an --out or --dot path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return status
 
 

@@ -8,6 +8,7 @@ syntax tree) so that agreement is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import deque
 from types import SimpleNamespace
 from typing import Iterable, Sequence
@@ -391,3 +392,90 @@ def eager_restricted_game_oracle(inp, dfa, win11, sr, reachable_only=True):
         target=frozenset(v for v in rg_states if v in target),
     )
     return hts, restricted
+
+
+def _json_order():
+    """A sort key that orders report states as their ``json.dumps`` texts do.
+
+    The key is that text itself, joined from the encodings of a state's
+    components; one key encodes each distinct component once.  Components are
+    memoised by value, which is exact because a report's states come from one
+    arena, whose ids are distinct as dict keys, and one DFA.
+    """
+    encode_one = json.JSONEncoder(default=str).encode  # json.dumps(v, default=str)
+    memo: dict = {}
+
+    def encode(c):
+        text = memo.get(c)
+        if text is None:
+            text = memo[c] = encode_one(c)
+        return text
+
+    def key(v):
+        if isinstance(v, (tuple, list)):
+            return "[" + ", ".join(map(encode, v)) + "]"
+        return encode(v)
+
+    return key
+
+
+def _sorted_states(states, key) -> list:
+    return sorted((list(v) if isinstance(v, tuple) else v for v in states), key=key)
+
+
+def _strategy_rows(strategy, key) -> list[dict]:
+    rows = [
+        {"state": list(v) if isinstance(v, tuple) else v, "action": a}
+        for v, a in strategy.items()
+    ]
+    return sorted(rows, key=lambda row: key(row["state"]))
+
+
+def report_oracle(bundle, mode: str) -> dict:
+    """A region mode's report as a dict, every array of states sorted by its
+    states' compact JSON texts; ``json.dumps(..., indent=2, sort_keys=True)``
+    of it is the report's text."""
+    order = _json_order()
+
+    def states(collection) -> list:
+        return _sorted_states(collection, order)
+
+    if mode == "perceptual":
+        return {
+            "mode": mode,
+            "arena_level": {
+                "true": {
+                    "win1": states(bundle.arena_regions_true.win1),
+                    "win2": states(bundle.arena_regions_true.win2),
+                },
+                "perceived": {
+                    "win1": states(bundle.arena_regions_perceived.win1),
+                    "win2": states(bundle.arena_regions_perceived.win2),
+                },
+            },
+            "product_level": {
+                "true": {
+                    "win1": states(bundle.regions_true.win1),
+                    "win2": states(bundle.regions_true.win2),
+                },
+                "perceived": {
+                    "win1": states(bundle.regions_perceived.win1),
+                    "win2": states(bundle.regions_perceived.win2),
+                },
+            },
+        }
+    if mode == "sure":
+        return {
+            "mode": mode,
+            "target": states(bundle.restricted.target),
+            "region": states(bundle.sure_regions.win1),
+            "strategy": _strategy_rows(bundle.sure_strategy, order),
+        }
+    if mode == "asw":
+        return {
+            "mode": mode,
+            "x_star": states(bundle.asw.x_star),
+            "levels": [states(level) for level in bundle.asw.levels],
+            "strategy": _strategy_rows(bundle.asw.strategy, order),
+        }
+    raise ValueError(f"no report for mode {mode!r}")

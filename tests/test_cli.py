@@ -1,22 +1,32 @@
+import contextlib
+import io
 import json
+import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hypergames.arena import Arena, HypergameInput
 from hypergames.cli import (
     RunConfig,
-    _json_order,
-    _sorted_states,
-    _strategy_rows,
+    _Components,
+    _texts,
     build_report,
     export_dot,
     main,
+    report_pieces,
     run,
     synthesize,
 )
+from hypergames.speclang import parse_formula
 
 from conftest import SCENARIO
+from oracles import report_oracle
+from randgen import corridor_input, random_arena
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -179,24 +189,88 @@ def test_report_bytes_pinned(tmp_path, scenario, name, mode, extra, status):
     assert out.read_bytes() == (GOLDEN / f"{name}_{mode}.json").read_bytes()
 
 
+# numbers that prefix one another, strings with quotes, a comma, a backslash,
+# non-ASCII and nothing at all
+TRICKY_IDS = [
+    9, 10, -1, 1.5, 0, 100, -10, "9", "10", 'say "hi"', "a, b", "café", "ω", "a\\b", "Zed", ""
+]
+
+
 def test_report_order_is_json_text_order():
-    ids = [9, 10, -1, 1.5, 0, 100, -10, "9", "10", 'say "hi"', "café", "ω", "a\\b", "Zed", ""]
-    pairs = [(s, q) for s in ids for q in ("q0", "q10", "q2")]
-    triples = [(s, q, p) for s in ids for q in ("q1", "q10") for p in ("q0", "q9")]
+    # Sorting the laid-out texts orders states as their compact JSON texts
+    # do, for bare ids of any kind and for tuples whose last component is a
+    # string; each text is the encoder's layout of the state at its depth.
+    pairs = [(s, q) for s in TRICKY_IDS for q in ("q0", "q10", "q2")]
+    triples = [(s, q, p) for s in TRICKY_IDS for q in ("q1", "q10") for p in ("q0", "q9")]
+    for states in (TRICKY_IDS, pairs, triples):
+        for depth in (1, 3):
+            texts = _texts(states, depth, _Components())
+            for v, text in zip(states, texts):
+                assert text == json.dumps(v, indent=2).replace("\n", "\n" + "  " * depth)
+            by_text = [v for _, v in sorted(zip(texts, states))]
+            assert by_text == sorted(states, key=json.dumps)
 
-    def dumps(v):
-        return json.dumps(v, default=str)
 
-    for states in (ids, pairs, triples):
-        key = _json_order()
-        for v in states:
-            assert key(v) == dumps(v)
-        expected = sorted((list(v) if isinstance(v, tuple) else v for v in states), key=dumps)
-        assert _sorted_states(states, _json_order()) == expected
-        strategy = {v: f"a{n}" for n, v in enumerate(states)}
-        rows = _strategy_rows(strategy, _json_order())
-        assert rows == sorted(rows, key=lambda row: dumps(row["state"]))
-        assert [row["state"] for row in rows] == expected
+def _relabelled(arena, ids):
+    """``arena`` with state ``i`` renamed ``ids[i]``."""
+    name = dict(zip(arena.states, ids))
+    return Arena(
+        states=tuple(name[s] for s in arena.states),
+        owner={name[s]: p for s, p in arena.owner.items()},
+        transitions={
+            name[s]: {a: name[d] for a, d in moves.items()}
+            for s, moves in arena.transitions.items()
+        },
+        initial=name[arena.initial],
+        ap=arena.ap,
+        label_true={name[s]: ps for s, ps in arena.label_true.items()},
+        label_perceived={name[s]: ps for s, ps in arena.label_perceived.items()},
+    )
+
+
+_OBJECTIVES = ("F a", "b U a", "F a & F b", "X F a", "F (a & b)")
+
+
+@pytest.mark.parametrize("ids", ["int", "str", "tricky"])
+def test_report_matches_dict_oracle(ids):
+    # Every region report is byte for byte the indented, key-sorted dump of
+    # the dict the reports were once built as, on random arenas.
+    strategy_rows = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        arena = random_arena(rng, max_states=len(TRICKY_IDS), max_branch=3)
+        names = {
+            "int": arena.states,
+            "str": [f"s{i}" for i in arena.states],
+            "tricky": TRICKY_IDS,
+        }[ids]
+        arena = _relabelled(arena, names)
+        text = _OBJECTIVES[seed % len(_OBJECTIVES)]
+        bundle = synthesize(HypergameInput(arena, parse_formula(text, arena.ap), text))
+        for mode in ("perceptual", "sure", "asw"):
+            expected = json.dumps(report_oracle(bundle, mode), indent=2, sort_keys=True)
+            assert build_report(bundle, RunConfig("unused.json", mode)) == expected
+        strategy_rows += len(bundle.sure_strategy) + len(bundle.asw.strategy)
+    assert strategy_rows > 0
+
+
+def test_asw_report_is_streamed(tmp_path):
+    # The corridor's level sets are quadratic: 600 levels of up to 600 states.
+    # Written in pieces, the report never holds more than a small share of
+    # its bytes; dumping it as one dict holds all of them and more.
+    bundle = synthesize(corridor_input(600))
+    assert len(bundle.asw.x_star) == 600
+    out = tmp_path / "asw.json"
+    tracemalloc.start()
+    try:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.writelines(report_pieces(bundle, "asw"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = out.stat().st_size
+    assert written > 5_000_000
+    assert peak < written / 4
 
 
 def test_unbounded_residuals_exit_code(tmp_path, capsys):
@@ -326,13 +400,92 @@ def test_malformed_document_exit_code(tmp_path, capsys, mutate, field):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag", ["--out", "--dot"])
+def test_unwritable_output_exit_code(tmp_path, capsys, flag):
+    # a report or DOT path in a missing directory is an input error, not a traceback
+    missing = tmp_path / "missing" / "file"
+    status = main([str(SCENARIO), "--mode", "sure", flag, str(missing)])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.err.startswith("error: ")
+    assert str(missing) in captured.err
+    assert "Traceback" not in captured.err
+    assert not missing.parent.exists()
+
+
+def _values(value, path=()):
+    """Every value in a JSON document with its path, the root's included."""
+    yield path, value
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield from _values(child, (*path, key))
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-1, 8)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4)
+    | st.sampled_from(["F A", "G A", "!A", "A U"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@st.composite
+def _mutated_documents(draw):
+    """The running example with one or two of its values changed, deleted or
+    retyped.  A value is often swapped for a scalar the document holds, which
+    keeps it valid often enough for the pipeline behind the loader to run."""
+    document = json.loads(SCENARIO.read_text())
+    for _ in range(draw(st.integers(1, 2))):
+        # a field first, so that the long state and edge lists take no more
+        # than their share of the mutations
+        field = draw(st.sampled_from(sorted(document)))
+        *head, key = draw(st.sampled_from([p for p, _ in _values(document[field], (field,))]))
+        parent = document
+        for step in head:
+            parent = parent[step]
+        kind = draw(st.sampled_from(["swap", "swap", "change", "delete", "retype"]))
+        if kind == "delete":
+            del parent[key]
+        elif kind == "swap":
+            held = [v for _, v in _values(document) if not isinstance(v, (list, dict))]
+            parent[key] = draw(st.sampled_from(held))
+        elif kind == "change":
+            parent[key] = draw(_JSON_VALUES)
+        else:
+            old = parent[key]
+            parent[key] = draw(st.sampled_from([str(old), [old], {"id": old}, None, 1.5, True]))
+    return document
+
+
+@given(document=_mutated_documents())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_mutated_documents_never_raise(tmp_path_factory, document):
+    # Any document, however malformed, ends in an exit status, never a traceback.
+    scenario = tmp_path_factory.mktemp("fuzz") / "mutated.json"
+    scenario.write_text(json.dumps(document))
+    for mode in ("perceptual", "sure", "asw", "simulate", "verify"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            status = main([str(scenario), "--mode", mode, "--trials", "20"])
+        assert status in (0, 1, 2, 3)
+
+
 def test_arena_regions_solved_on_demand(running_input):
     bundle = synthesize(running_input)
     build_report(bundle, RunConfig(str(SCENARIO), "sure"))
     lazy = {"arena_regions_true", "arena_regions_perceived"}
     # a cached property is stored in the instance dict on first access
     assert not lazy & set(vars(bundle))
-    report = build_report(bundle, RunConfig(str(SCENARIO), "perceptual"))
+    report = json.loads(build_report(bundle, RunConfig(str(SCENARIO), "perceptual")))
     assert lazy <= set(vars(bundle))
     assert report["arena_level"]["true"]["win1"] == [5, 6, 7]
 
