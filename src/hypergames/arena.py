@@ -218,7 +218,8 @@ def load_arena(document: Mapping[str, Any]) -> HypergameInput:
             sid, player = entry["id"], entry["player"]
             if sid in owner:
                 raise ArenaFormatError(f"duplicate state id {sid!r}")
-            if player not in (P1, P2):
+            # a bool or a float equal to 1 or 2 would pass the membership test
+            if type(player) is not int or player not in (P1, P2):
                 raise ArenaFormatError(f"state {sid!r}: player must be 1 or 2, got {player!r}")
             states.append(sid)
             owner[sid] = player

@@ -14,12 +14,39 @@
   ordering.
 * :func:`audit_stealth` checks a single trace against the rationalizable
   action sets; it is the stealth oracle for plays recorded elsewhere.
+
+The trial streams are SplitMix64 (Steele, Lea & Flood, "Fast splittable
+pseudorandom number generators", OOPSLA 2014), so a trial can be replayed
+outside Python.  All arithmetic is modulo 2^64.  With ``G =
+0x9E3779B97F4A7C15``, the generator seeded with ``x`` outputs, for ``n = 1,
+2, ...``, ``mix(x + n*G)``, where ``mix(z)`` is::
+
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+* Trial ``i`` (from 0) of a call with ``seed`` has the key
+  ``mix(seed + (i + 1)*G)``: the ``(i + 1)``-th output of the generator
+  seeded with ``seed mod 2^64``.  Its draws are the outputs ``z`` of the
+  generator seeded with that key, one after another.
+* An adversary position with one move draws nothing (and ``weights`` is not
+  called there).  With ``m >= 2`` moves, in sorted name order:
+
+  - uniformly, move ``(z*m) >> 64``, the high word of the 128-bit product,
+    drawing again while its low word ``(z*m) mod 2^64`` is below ``2^64 mod
+    m`` (Lemire's multiply-shift with rejection, which keeps the choice
+    exactly uniform);
+  - by ``weights``, the first move whose cumulative weight exceeds
+    ``u * total`` (the last move if none does), with ``u = (z >> 11) *
+    2^-53``, as ``random.choices`` takes it.
 """
 
 from __future__ import annotations
 
-import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
+from math import isfinite
 from typing import Callable, Collection, Iterable, Iterator
 
 from .almostsure import StochasticGame
@@ -142,8 +169,20 @@ class SimulationStats:
     seed: int
 
 
-def _trial_rng(seed: int, index: int) -> random.Random:
-    return random.Random(f"{seed}:{index}")
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(z: int) -> int:
+    """SplitMix64's output function of a 64-bit state."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _trial_key(seed: int, index: int) -> int:
+    """The stream key of trial ``index`` of a call with ``seed``."""
+    return _mix((seed + (index + 1) * _GAMMA) & _MASK)
 
 
 def simulate_asw(
@@ -164,7 +203,9 @@ def simulate_asw(
     least-assumption default).  A trial wins when the target is reached within
     ``cap`` steps.  It violates stealth when, before reaching the target, P1
     plays an action that ``sr`` does not find rationalizable for him: the
-    count :func:`audit_stealth` would give on every trial's trace.
+    count :func:`audit_stealth` would give on every trial's trace.  Trial
+    ``i`` draws from the SplitMix64 stream keyed by ``seed`` and ``i``, as the
+    module docstring defines it.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -179,7 +220,7 @@ def simulate_asw(
     wins = 0
     violations = 0
     for index in range(trials):
-        end, _steps, stealthy = walk(first, cap, _trial_rng(seed, index))
+        end, _steps, stealthy = walk(first, cap, _trial_key(seed, index))
         wins += at_target[end]
         violations += not stealthy
     return SimulationStats(
@@ -192,29 +233,61 @@ def simulate_asw(
     )
 
 
+def _reject(state: int, product: int, m: int) -> tuple[int, int]:
+    """Lemire's rejection step for a uniform draw among ``m`` moves.
+
+    ``product`` is ``z * m`` for the output ``z`` that brought the stream to
+    ``state``.  Draw again while its low word is below ``2^64 mod m``; return
+    the stream's state and the product accepted.
+    """
+    floor = (1 << 64) % m
+    while product & _MASK < floor:
+        state = (state + _GAMMA) & _MASK
+        product = _mix(state) * m
+    return state, product
+
+
+def _weighted(names: tuple[str, ...], weights: Callable[[list[str]], list[float]], z: int) -> int:
+    """The index ``random.choices`` would pick among ``names`` by
+    ``weights(names)`` for the 53-bit float ``(z >> 11) * 2^-53``, with its
+    ``ValueError`` for a wrong number of weights or a bad total."""
+    cum = list(accumulate(weights(list(names))))
+    if len(cum) != len(names):
+        raise ValueError("The number of weights does not match the population")
+    total = cum[-1] + 0.0
+    if total <= 0.0:
+        raise ValueError("Total of weights must be greater than zero")
+    if not isfinite(total):
+        raise ValueError("Total of weights must be finite")
+    return bisect(cum, (z >> 11) * 2.0**-53 * total, 0, len(names) - 1)
+
+
 def _walker(
     rg: RestrictedGame,
     strat: Strategy,
     sr: SrActionMap,
     weights: Callable[[list[str]], list[float]] | None,
-) -> Callable[[int, int, random.Random], tuple[int, int, bool]]:
+) -> Callable[[int, int, int], tuple[int, int, bool]]:
     """A function playing one trial on the restricted game's int graph.
 
-    ``walk(start, cap, rng)`` moves from position ``start`` until the target
+    ``walk(start, cap, key)`` moves from position ``start`` until the target
     or ``cap`` moves and returns ``(end position, moves made, stealthy)``.
-    The adversary draws from her actions in sorted name order with ``rng``,
-    one ``randrange`` (or ``choices``) per move, so a trial's draws are those
-    of the play it stands for.  Each position's move is worked out on the
-    first visit and kept for every later trial of this walker.  A strategy
-    action that is not available, or a dead end, raises ``ValueError`` there.
+    The adversary draws from her actions in sorted name order on the
+    SplitMix64 stream seeded with ``key``, one output per draw (the module
+    docstring gives the rule), stepped inline on a local int.  Each
+    position's move is worked out on the first visit and kept for every later
+    trial of this walker, in a memo that grows only with the positions
+    reached.  A strategy action that is not available, or a dead end, raises
+    ``ValueError`` there.
     """
     states, succ, names, p1, at_target = rg.states, rg.succ, rg.names, rg.p1, rg.at_target
     owner = sr.product2.arena.owner
-    # moves[i], None until position i is first reached: at a P1 position the
-    # successor, complemented (~j) when P1's action there is not rationalizable
-    # in his perception; at an adversary position the successors in the sorted
-    # order of their actions, whose names ordered[i] keeps for ``weights``.
-    moves: list = [None] * len(states)
+    # moves[i], set when position i is first reached: an int where the move
+    # is fixed, complemented (~j) when it is P1's and his action there is not
+    # rationalizable in his perception; at an adversary position with two or
+    # more moves, the successors in the sorted order of their actions, whose
+    # names ordered[i] keeps for ``weights``.
+    moves: dict[int, int | tuple[int, ...]] = {}
     ordered: dict[int, tuple[str, ...]] = {}
 
     def learn(i: int):
@@ -228,6 +301,8 @@ def _walker(
                 move = ~move
         elif not here:
             raise ValueError(f"adversary state {states[i]!r} has no moves")
+        elif len(here) == 1:
+            move = succ[i][0]
         else:
             rank = sorted(range(len(here)), key=here.__getitem__)
             move = tuple(succ[i][k] for k in rank)
@@ -235,24 +310,34 @@ def _walker(
         moves[i] = move
         return move
 
-    def walk(i: int, cap: int, rng: random.Random) -> tuple[int, int, bool]:
-        draw = rng.randrange
+    def walk(i: int, cap: int, key: int) -> tuple[int, int, bool]:
         stealthy = True
         for step in range(cap):
             if at_target[i]:
                 return i, step, stealthy
-            move = moves[i]
-            if move is None:
+            try:
+                move = moves[i]
+            except KeyError:
                 move = learn(i)
-            if p1[i]:
+            if move.__class__ is int:
                 if move < 0:
                     stealthy = False
                     move = ~move
                 i = move
-            elif weights is None:
-                i = move[draw(len(move))]
+                continue
+            # the next output: _mix of the stepped state, inlined
+            key = (key + _GAMMA) & _MASK
+            z = ((key ^ (key >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            z ^= z >> 31
+            if weights is None:
+                m = len(move)
+                z *= m
+                if z & _MASK < m:  # 2^64 mod m < m, so only then can it be rejected
+                    key, z = _reject(key, z, m)
+                i = move[z >> 64]
             else:
-                i = move[rng.choices(range(len(move)), weights=weights(list(ordered[i])))[0]]
+                i = move[_weighted(ordered[i], weights, z)]
         return i, cap, stealthy
 
     return walk

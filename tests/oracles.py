@@ -256,13 +256,75 @@ def nested_fixed_point_oracle(g: StochasticGame) -> tuple[frozenset, tuple[froze
     return frozenset(X), tuple(frozenset(level) for level in levels), strategy
 
 
-def dict_trial_oracle(g: StochasticGame, strat, start, cap, rng, weights):
+class TrialStream:
+    """SplitMix64, transcribed from the published reference ``splitmix64.c``
+    (Steele, Lea & Flood, OOPSLA 2014), with the two draws the simulator
+    makes from it written out the long way."""
+
+    def __init__(self, key: int):
+        self.x = key % 2**64
+
+    def next(self) -> int:
+        self.x = (self.x + 0x9E3779B97F4A7C15) % 2**64
+        z = self.x
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        return z ^ (z >> 31)
+
+    def randrange(self, m: int) -> int:
+        """Uniform on ``range(m)``; ``m == 1`` draws nothing.  Lemire,
+        "Fast random integer generation in an interval", TOMACS 2019: the
+        high word of ``z * m``, rejected while its low word falls below
+        ``2^64 mod m``."""
+        if m < 1:
+            raise ValueError("empty range")
+        if m == 1:
+            return 0
+        while True:
+            high, low = divmod(self.next() * m, 2**64)
+            if low >= 2**64 % m:
+                return high
+
+    def choices(self, population, weights):
+        """One element, by the weights ``weights(list(population))``, on the
+        53-bit float of one output as ``random.choices`` takes it; one
+        element draws nothing and does not call ``weights``."""
+        if len(population) == 1:
+            return population[0]
+        cumulative = []
+        running = 0
+        for w in weights(list(population)):
+            running = running + w
+            cumulative.append(running)
+        if len(cumulative) != len(population):
+            raise ValueError("The number of weights does not match the population")
+        total = float(running)
+        if total <= 0.0:
+            raise ValueError("Total of weights must be greater than zero")
+        if total == float("inf") or total != total:
+            raise ValueError("Total of weights must be finite")
+        point = (self.next() >> 11) / 2**53 * total
+        for element, bound in zip(population[:-1], cumulative):
+            if point < bound:
+                return element
+        return population[-1]
+
+
+def trial_keys(seed: int, count: int) -> list[int]:
+    """The stream keys of trials ``0 .. count - 1`` of a simulation with
+    ``seed``: the first ``count`` outputs of SplitMix64 seeded with it."""
+    stream = TrialStream(seed)
+    return [stream.next() for _ in range(count)]
+
+
+def dict_trial_oracle(g: StochasticGame, strat, start, cap, key, weights):
     """One simulated play as a ``Trace``, walking the stochastic game's dict views.
 
     P1 plays ``strat`` (the smallest action where it is undefined); the
-    adversary draws from her sorted actions with ``rng``, uniformly or by
-    ``weights``, exactly as the simulator does.
+    adversary draws from her sorted actions on ``TrialStream(key)``,
+    uniformly or by ``weights``, exactly as the simulator does.
     """
+    rng = TrialStream(key)
     states = [start]
     actions = []
     state = start
@@ -282,11 +344,40 @@ def dict_trial_oracle(g: StochasticGame, strat, start, cap, rng, weights):
             if weights is None:
                 action = names[rng.randrange(len(names))]
             else:
-                action = rng.choices(names, weights=weights(names), k=1)[0]
+                action = rng.choices(names, weights)
         state = moves[action]
         actions.append(action)
         states.append(state)
     return Trace(tuple(states), tuple(actions), reached_target=state in g.target)
+
+
+def exact_win_probability(rg, strat, start, cap, weights=None) -> float:
+    """The probability that a trial from ``start`` reaches the target within
+    ``cap`` moves, by ``cap`` rounds of backward value iteration on the
+    restricted game's int graph.
+
+    The target counts 1.  P1 follows ``strat`` (its smallest action where it
+    is undefined); the adversary's value is the mean over her moves, or their
+    mean weighted by ``weights`` of her sorted action names.
+    """
+    n = len(rg.states)
+    plans = []  # per position: [(successor, probability)]
+    for i in range(n):
+        here = dict(zip(rg.names[i], rg.succ[i]))
+        if rg.p1[i]:
+            action = strat.get(rg.states[i], min(here) if here else None)
+            plans.append([(here[action], 1.0)] if action is not None else [])
+        else:
+            order = sorted(here)
+            w = [1.0] * len(order) if weights is None or len(order) < 2 else weights(list(order))
+            plans.append([(here[a], x / sum(w)) for a, x in zip(order, w)])
+    value = [float(t) for t in rg.at_target]
+    for _ in range(cap):
+        value = [
+            1.0 if rg.at_target[i] else sum(p * value[j] for j, p in plans[i])
+            for i in range(n)
+        ]
+    return value[rg.position(start)]
 
 
 def recursive_verify_oracle(rg, strat, start, bound):

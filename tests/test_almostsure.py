@@ -7,7 +7,7 @@ from hypergames.almostsure import build_stochastic_game, pre_step, solve_asw
 from hypergames.arena import Arena, HypergameInput
 from hypergames.cli import synthesize
 from hypergames.reachsolver import _attractor
-from hypergames.simulate import _trial_rng, _walker, audit_stealth, simulate_asw
+from hypergames.simulate import _walker, audit_stealth, simulate_asw
 from hypergames.speclang import parse_formula
 
 from oracles import (
@@ -15,6 +15,7 @@ from oracles import (
     dict_attractor_oracle,
     dict_trial_oracle,
     nested_fixed_point_oracle,
+    trial_keys,
 )
 from randgen import corridor_input, random_arena, random_dfa, small_hypergame_input
 
@@ -267,15 +268,15 @@ class TestEdgeGraphs:
         assert not set(dead) & bundle.asw.x_star
         for weights in (None, lambda names: [1.0] * len(names)):
             walk = _walker(rg, bundle.asw.strategy, bundle.sr, weights)
+            (key,) = trial_keys(0, 1)
             for v in rg.states:
-                rng_a, rng_b = _trial_rng(0, 0), _trial_rng(0, 0)
                 try:
-                    expected = dict_trial_oracle(g, bundle.asw.strategy, v, 10, rng_a, weights)
+                    expected = dict_trial_oracle(g, bundle.asw.strategy, v, 10, key, weights)
                 except (ValueError, IndexError):  # a play reaches a dead end
                     with pytest.raises(ValueError):
-                        walk(rg.position(v), 10, rng_b)
+                        walk(rg.position(v), 10, key)
                     continue
-                got = walk(rg.position(v), 10, rng_b)
+                got = walk(rg.position(v), 10, key)
                 stealthy = audit_stealth(expected, bundle.sr, rg.target)
                 assert got == (rg.position(expected.states[-1]), len(expected.actions), stealthy)
                 assert bool(rg.at_target[got[0]]) == expected.reached_target

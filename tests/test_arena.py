@@ -81,6 +81,16 @@ def test_schema_violations(doc, mutate, fragment):
         load_arena(bad)
 
 
+@pytest.mark.parametrize("player", [True, 2.0, 1.0], ids=["true", "2.0", "1.0"])
+def test_non_int_player_rejected(doc, player):
+    # equal to 1 or 2, but not a JSON integer: the owner map would hold it
+    bad = copy.deepcopy(doc)
+    sid = bad["states"][0]["id"]
+    bad["states"][0]["player"] = player
+    with pytest.raises(ArenaFormatError, match=f"state {sid!r}: player must be 1 or 2"):
+        load_arena(bad)
+
+
 def test_state_without_actions_rejected(doc):
     bad = copy.deepcopy(doc)
     bad["states"].append({"id": 9, "player": 1})

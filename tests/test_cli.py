@@ -400,6 +400,19 @@ def test_malformed_document_exit_code(tmp_path, capsys, mutate, field):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("player", ["true", "2.0", "1.0"])
+def test_non_int_player_exit_code(tmp_path, capsys, player):
+    document = json.loads(SCENARIO.read_text())
+    document["states"][1]["player"] = json.loads(player)
+    scenario = tmp_path / "player.json"
+    scenario.write_text(json.dumps(document))
+    status = main([str(scenario), "--mode", "sure"])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.err.startswith("error: state 1: player must be 1 or 2")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag", ["--out", "--dot"])
 def test_unwritable_output_exit_code(tmp_path, capsys, flag):
     # a report or DOT path in a missing directory is an input error, not a traceback

@@ -1,5 +1,7 @@
+import math
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -8,14 +10,20 @@ from hypergames.arena import HypergameInput
 from hypergames.cli import synthesize
 from hypergames.simulate import (
     Trace,
-    _trial_rng,
+    _trial_key,
     _walker,
     audit_stealth,
     simulate_asw,
     verify_sure,
 )
 
-from oracles import dict_trial_oracle, recursive_verify_oracle
+from oracles import (
+    TrialStream,
+    dict_trial_oracle,
+    exact_win_probability,
+    recursive_verify_oracle,
+    trial_keys,
+)
 from randgen import (
     corridor_input,
     oracle_cases,
@@ -141,10 +149,27 @@ class TestSimulateAsw:
     def test_different_seeds_may_differ(self, running_bundle):
         # only a smoke test that the seed actually feeds the sampler: the
         # per-trial streams must differ
-        from hypergames.simulate import _trial_rng
+        assert _trial_key(0, 1) != _trial_key(1, 1)
+        assert _trial_key(0, 1) != _trial_key(0, 2)
 
-        assert _trial_rng(0, 1).random() != _trial_rng(1, 1).random()
-        assert _trial_rng(0, 1).random() != _trial_rng(0, 2).random()
+    def test_call_allocates_with_the_positions_reached(self):
+        # one trial from one move before the target learns one position; the
+        # call's allocation must not grow with the 4000-state game
+        bundle = synthesize(corridor_input(4000))
+        rg = bundle.restricted
+        start = next(
+            v for i, v in enumerate(rg.states)
+            if not rg.at_target[i] and any(rg.at_target[j] for j in rg.succ[i])
+        )
+        args = (bundle.stochastic, bundle.asw.strategy, start, 1, 10, 0, bundle.sr)
+        tracemalloc.start()
+        try:
+            stats = simulate_asw(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.wins == 1
+        assert peak < 8 * 1024
 
     def test_zero_trials(self, running_bundle):
         g = running_bundle.stochastic
@@ -181,6 +206,23 @@ class TestSimulateAsw:
         assert stats.wins == 0
         assert stats.losses_by_cap == 20
         assert stats.stealth_violations == 0
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([1.0], "number of weights"),
+            ([0.0, 0.0], "greater than zero"),
+            ([1.0, float("inf")], "finite"),
+            ([1.0, float("nan")], "finite"),
+        ],
+    )
+    def test_bad_weights_rejected(self, running_bundle, weights, message):
+        # the errors random.choices gives, raised where the adversary first draws
+        g, strat, sr = running_bundle.stochastic, running_bundle.asw.strategy, running_bundle.sr
+        with pytest.raises(ValueError, match=message):
+            simulate_asw(g, strat, g.initial, 1, 5, 0, sr, weights=lambda names: weights)
+        with pytest.raises(ValueError, match=message):
+            dict_trial_oracle(g, strat, g.initial, 5, 0, lambda names: weights)
 
 
 class _DroppingSr:
@@ -229,12 +271,10 @@ class TestTrialAgainstDictWalk:
             walk = _walker(rg, bundle.asw.strategy, bundle.sr, weights)
             cap = 3 * len(rg.states)
             for seed in range(20):
-                for index in range(10):
+                for index, key in enumerate(trial_keys(seed, 10)):
                     start = rg.states[(seed * 10 + index) % len(rg.states)]
-                    got = walk(rg.position(start), cap, _trial_rng(seed, index))
-                    trace = dict_trial_oracle(
-                        g, bundle.asw.strategy, start, cap, _trial_rng(seed, index), weights
-                    )
+                    got = walk(rg.position(start), cap, key)
+                    trace = dict_trial_oracle(g, bundle.asw.strategy, start, cap, key, weights)
                     assert got == _oracle_outcome(rg, trace, bundle.sr)
                     assert bool(rg.at_target[got[0]]) == trace.reached_target
 
@@ -254,8 +294,8 @@ class TestTrialAgainstDictWalk:
             for start in rg.states:
                 try:
                     traces = [
-                        dict_trial_oracle(g, strat, start, cap, _trial_rng(4, index), weights)
-                        for index in range(30)
+                        dict_trial_oracle(g, strat, start, cap, key, weights)
+                        for key in trial_keys(4, 30)
                     ]
                 except (ValueError, IndexError):  # a play reaches a dead end
                     with pytest.raises(ValueError):
@@ -276,8 +316,8 @@ class TestTrialAgainstDictWalk:
         strat = running_bundle.asw.strategy
         stats = simulate_asw(g, strat, (1, "q0", "q0"), 200, 50, 0, sr)
         back = sum(
-            "1->0" in dict_trial_oracle(g, strat, (1, "q0", "q0"), 50, _trial_rng(0, i), None).actions
-            for i in range(200)
+            "1->0" in dict_trial_oracle(g, strat, (1, "q0", "q0"), 50, key, None).actions
+            for key in trial_keys(0, 200)
         )
         assert 0 < stats.stealth_violations == back < 200
         assert simulate_asw(g, strat, g.initial, 20, 50, 0, sr).stealth_violations == 20
@@ -315,6 +355,115 @@ class TestTrialAgainstDictWalk:
         for bad in ((9, "q0", "q0"), (0, "q9", "q0"), (2, "q0", "q1"), "junk"):
             with pytest.raises(KeyError):
                 simulate_asw(g, {}, bad, trials=1, cap=5, seed=0, sr=running_bundle.sr)
+
+
+REJECTED_KEY = -0x9E3779B97F4A7C15 % 2**64
+
+
+class TestTrialStream:
+    """The reference SplitMix64 stream the walker's inlined draws are checked against."""
+
+    def test_known_answers(self):
+        # the first outputs of the reference splitmix64.c seeded with 1234567
+        stream = TrialStream(1234567)
+        assert [stream.next() for _ in range(3)] == [
+            6457827717110365317,
+            3203168211198807973,
+            9817491932198370423,
+        ]
+
+    def test_trial_keys_distinct_and_as_documented(self):
+        keys = {seed: trial_keys(seed, 1000) for seed in range(10)}
+        assert len({k for ks in keys.values() for k in ks}) == 10 * 1000
+        assert all(
+            _trial_key(seed, index) == key
+            for seed, ks in keys.items()
+            for index, key in enumerate(ks)
+        )
+        # the seed is taken modulo 2^64
+        assert _trial_key(-1, 3) == trial_keys(2**64 - 1, 4)[3] == _trial_key(2**64 - 1, 3)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_randrange_uniform(self, m):
+        # chi-square over 60,000 draws from fixed keys, against the 0.9999
+        # quantile of the distribution with m - 1 degrees of freedom
+        counts = [0] * m
+        for key in range(6):
+            stream = TrialStream(key)
+            for _ in range(10_000):
+                counts[stream.randrange(m)] += 1
+        expected = 60_000 / m
+        chi2 = sum((c - expected) ** 2 / expected for c in counts)
+        assert chi2 < {2: 15.14, 3: 18.42, 4: 21.11, 5: 23.51}[m]
+
+    def test_one_move_draws_nothing(self):
+        stream = TrialStream(7)
+        assert stream.randrange(1) == 0
+        assert stream.choices(["only"], weights=None) == "only"
+        assert stream.next() == TrialStream(7).next()
+
+    def test_rejection_redraws(self):
+        # this key's first output is mix(0) = 0, whose product with 3 has the
+        # low word 0 < 2^64 mod 3 and is drawn again; the second output,
+        # 0xE220A8397B1DCDAF, gives 2 where the first would have given 0
+        stream = TrialStream(REJECTED_KEY)
+        assert stream.next() == 0
+        assert stream.next() == 0xE220A8397B1DCDAF
+        assert TrialStream(REJECTED_KEY).randrange(3) == 2
+        assert TrialStream(REJECTED_KEY).randrange(4) == 0  # 2^64 mod 4 = 0: no rejection
+
+    def test_walker_rejects_as_the_reference(self):
+        # an adversary position with three moves, whose first draw falls in
+        # the rejection zone: the walker draws again and plays her third action
+        bundle = synthesize(small_hypergame_input(random.Random(1)))
+        g, rg = bundle.stochastic, bundle.restricted
+        start = next(v for v in g.chance_actions if len(g.chance_actions[v]) == 3)
+        walk = _walker(rg, bundle.asw.strategy, bundle.sr, None)
+        trace = dict_trial_oracle(g, bundle.asw.strategy, start, 6, REJECTED_KEY, None)
+        assert trace.actions[0] == sorted(g.chance_actions[start])[2]
+        assert walk(rg.position(start), 6, REJECTED_KEY) == _oracle_outcome(rg, trace, bundle.sr)
+
+
+class TestExactWinProbability:
+    """The Monte-Carlo win rate against the exact finite-horizon probability."""
+
+    TRIALS = 20_000
+
+    def _within_4_sigma(self, bundle, start, cap, weights=None):
+        exact = exact_win_probability(bundle.restricted, bundle.asw.strategy, start, cap, weights)
+        stats = simulate_asw(
+            bundle.stochastic, bundle.asw.strategy, start, self.TRIALS, cap, 0, bundle.sr,
+            weights=weights,
+        )
+        sigma = math.sqrt(exact * (1 - exact) / self.TRIALS)
+        assert abs(stats.win_rate - exact) <= 4 * sigma
+        return exact
+
+    def test_running_example(self, running_bundle):
+        rg = running_bundle.restricted
+        assert exact_win_probability(rg, running_bundle.asw.strategy, rg.initial, 5) == 0.75
+        self._within_4_sigma(running_bundle, rg.initial, 5)
+        weighted = self._within_4_sigma(
+            running_bundle, rg.initial, 5, lambda names: [1.0 + i for i in range(len(names))]
+        )
+        assert weighted == pytest.approx(8 / 9)
+
+    def test_corridor_with_weights(self):
+        bundle = synthesize(corridor_input(60))
+        rg = bundle.restricted
+        weights = lambda names: [1.0 + i for i in range(len(names))]  # noqa: E731
+        assert self._within_4_sigma(bundle, rg.initial, 57, weights) == 0.0
+        assert self._within_4_sigma(bundle, rg.initial, 58, weights) == 1.0
+
+    @pytest.mark.parametrize("seed", [33, 54])
+    def test_small_games(self, seed):
+        bundle = synthesize(small_hypergame_input(random.Random(seed)))
+        values = [
+            self._within_4_sigma(bundle, start, 3, weights)
+            for start in bundle.restricted.states
+            for weights in (None, lambda names: [1.0 + len(n) + i for i, n in enumerate(names)])
+        ]
+        assert any(0 < p < 1 for p in values)
 
 
 class TestAuditStealth:
