@@ -9,10 +9,13 @@ the classic almost-sure reachability algorithm for MDPs (de Alfaro 1997;
 Chatterjee & Henzinger, SODA 2011), an alternation of two attractors on the
 reachability solver's kernel: each outer round finds what reaches the target
 with positive probability inside the candidate region ``X``, then a drop pass
-removes from ``X`` the adversary's attractor of what the round missed.  Each
-round and pass is linear in the edges of the restricted game, and the search
-layer of a state in the last round is its level.  The game is a view of the
-restricted game, and the solve runs on its int graph.
+removes from ``X`` the adversary's attractor of what the round missed.  Every
+round and pass reads one predecessor index of the restricted game, built once
+without the edges out of the absorbing target; a state out of ``X`` keeps its
+edges in the index and is preset in the level list of each later round.
+Each round and pass is linear in the indexed edges, and the search layer of a
+state in the last round is its level.  The game is a view of the restricted
+game.
 """
 
 from __future__ import annotations
@@ -148,37 +151,38 @@ class AswResult:
 def solve_asw(g: StochasticGame) -> AswResult:
     """Almost-sure winning region by alternating two attractors.
 
-    Runs on the restricted game's int graph with the target absorbing, both
-    halves of each outer round on the attractor kernel.  The round searches
-    backward from the target inside the candidate region ``X``, every state
-    joining on any edge into the found set.  While it misses part of ``X``,
-    the drop pass takes out of ``X`` the adversary's attractor of what it
-    missed: a chance state with a successor dropped, a choice state with all
-    of its successors dropped.  So every chance state left in ``X`` has its
-    whole support there, and each round and pass is one kernel call, linear
-    in the edges.  The strategy maps every P1 choice state of ``X`` outside
-    the target to the lexicographically smallest action whose successor has
-    a lower level; inside the target it is undefined, P1 having switched to
-    his true winning strategy.  Only the result is decoded to states.
+    Both halves of each outer round are calls of the attractor kernel on the
+    restricted game's predecessor index, which has no edges out of the
+    target, so the target is absorbing.  The round searches backward from the
+    target inside the candidate region ``X``, every state joining on any edge
+    into the found set; a state out of ``X`` is preset to ``-2`` in the level
+    list the round fills, so it never joins.  While the round misses part of
+    ``X``, the drop pass takes out of ``X`` the adversary's attractor of what
+    it missed: a chance state with a successor dropped, a choice state with
+    all of its successors dropped.  So every chance state left in ``X`` has
+    its whole support there, and each round and pass is one kernel call,
+    linear in the edges.  The strategy maps every P1 choice state of ``X``
+    outside the target to the lexicographically smallest action whose
+    successor has a lower level; inside the target it is undefined, P1 having
+    switched to his true winning strategy.  Only the result is decoded to
+    states, after the index is dropped from the restricted game: the sure
+    solve runs first and shares it, and a later solve builds it again.
     """
     rg = g.restricted
-    succ, p1, at_target = rg.succ, rg.p1, rg.at_target
+    pred, succ, p1 = rg.predecessors, rg.succ, rg.p1
     n = len(succ)
-    # The target is absorbing, and a state out of X loses its moves, so no
-    # later round can reach it again.
-    graph = [() if goal else out for out, goal in zip(succ, at_target)]
-    targets = list(compress(range(n), at_target))
+    targets = list(compress(range(n), rg.at_target))
     anyone = b"\x01" * n  # in a round every state chooses
     chance = bytes(not owned for owned in p1)  # in a drop pass only chance states do
-    dropped: list[int] = []  # every state out of X
-    while True:
-        level = _attractor(graph, anyone, targets)
-        if level.count(-1) == len(dropped):  # the round reached all of X
-            break
+    level = _attractor(pred, anyone, targets)
+    while -1 in level:  # the round missed part of X
         missed = [i for i, lv in enumerate(level) if lv < 0]
-        dropped = [i for i, lv in enumerate(_attractor(graph, chance, missed)) if lv >= 0]
-        for i in dropped:
-            graph[i] = ()
+        # the drop pass, then a round with every state out of X preset
+        out_of_x = [-2 if lv >= 0 else -1 for lv in _attractor(pred, chance, missed)]
+        level = _attractor(pred, anyone, targets, out_of_x)
+
+    del pred  # the last reader of the index
+    vars(rg).pop("predecessors", None)
 
     states, names = rg.states, rg.names
     level_of: dict[HtsState, int] = {}

@@ -13,8 +13,9 @@ target from the true product's levels, and the SR map works out a state's
 rationalizable moves from the perceived product's levels the first time they
 are asked for.  The restricted game comes out of one forward search over
 int-coded triples as an int graph, which the sure solve, the almost-sure
-solve and the simulator all read; its state-keyed dicts are views built only
-when something reads them.
+solve and the simulator all read; the two solves share one predecessor index
+of it, without the edges out of the target.  Its state-keyed dicts are views
+built only when something reads them.
 
 Two deliberate modeling choices (both match the worked example the golden
 tests pin down):
@@ -39,7 +40,15 @@ from typing import Sequence
 
 from .arena import Arena, HypergameInput, StateId
 from .product import ProductGame, label_rows
-from .reachsolver import IndexedGame, Regions, Strategy, p1_strategy, solve_indexed
+from .reachsolver import (
+    Index,
+    IndexedGame,
+    Regions,
+    Strategy,
+    _attractor,
+    _predecessors,
+    p1_strategy,
+)
 from .speclang import Dfa
 
 __all__ = [
@@ -290,6 +299,15 @@ class RestrictedGame:
             raise KeyError(v)
         return i
 
+    @cached_property
+    def predecessors(self) -> Index:
+        """The solves' predecessor index, without the edges out of target
+        states: the sure solve and every round of the almost-sure solve seed
+        the target, and a drop pass must not reach it.  Built on first read;
+        :func:`almostsure.solve_asw`, which runs after the sure solve, releases
+        it."""
+        return _predecessors(self.succ, self.at_target)
+
     def indexed(self) -> IndexedGame:
         return IndexedGame(
             game=self,
@@ -395,6 +413,5 @@ def solve_deceptive_sure(rg: RestrictedGame) -> tuple[Regions, Strategy]:
     The strategy decreases the attractor level outside the target and is
     undefined inside it, where P1 switches to his true winning strategy.
     """
-    g = rg.indexed()
-    regions = solve_indexed(g, compress(range(len(rg.states)), rg.at_target))
-    return regions.decode(), p1_strategy(g, regions.levels)
+    levels = _attractor(rg.predecessors, rg.p1, compress(range(len(rg.states)), rg.at_target))
+    return Regions(levels, rg).decode(), p1_strategy(rg.indexed(), levels)

@@ -5,10 +5,12 @@ automaton row per arena state, and computes a state's moves on demand.  A row
 lists, for every automaton state, the index of the state reached on the arena
 state's label; it comes from :meth:`Dfa.row`, so arena states with the same
 label, both products and the hypergame transition system share one list per
-label.  The solver gets its int adjacency straight from the arena's shared int
-adjacency (:attr:`Arena.adjacency`) and the rows, and :meth:`ProductGame.solve`
-returns regions that keep the kernel's level list; the state-keyed views
-(``states``, ``owner``, ``transitions``, ``target``) are built only when
+label, and :func:`label_rows` hands the products and the HTS one list of rows
+per labeling.  :meth:`ProductGame.solve` builds the solver's predecessor index
+straight from the arena's predecessors and the rows, without the edges out of
+the seeded ``S x F``, and returns regions that keep the kernel's level list;
+the state-keyed views (``states``, ``owner``, ``transitions``, ``target``) and
+the successor lists of :meth:`ProductGame.indexed` are built only when
 something reads them.
 """
 
@@ -16,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .arena import Arena, StateId
-from .reachsolver import IndexedGame, Regions, solve_indexed
+from .reachsolver import IndexedGame, Regions, _attractor, _predecessors
 from .speclang import AlphabetError, Dfa, all_symbols
 
 __all__ = ["ProductGame", "build_product", "label_rows"]
@@ -75,7 +78,8 @@ class ProductGame:
         return frozenset((s, q) for s in self.arena.states for q in self.dfa.accepting)
 
     def indexed(self) -> IndexedGame:
-        """Int adjacency for the solver: ``(s, q)`` is ``s_index * |Q| + q_index``."""
+        """Int adjacency over every ``(s, q)``, for strategies and tests: ``(s, q)``
+        is ``s_index * |Q| + q_index``.  :meth:`solve` does not build it."""
         adj, rows = self.arena.adjacency, self.rows
         nq = len(self.dfa.states)
         # moved[d][k]: position of the product state entered at d from automaton state k
@@ -85,33 +89,74 @@ class ProductGame:
         for out in adj.succ:
             # one tuple per automaton state k, of the positions entered from (s, k)
             succ.extend(zip(*[moved[d] for d in out]) if out else no_moves)
-        p1 = bytearray(len(adj.p1) * nq)
-        for k in range(nq):
-            p1[k::nq] = adj.p1
-
         return IndexedGame(
             game=self,
             succ=succ,
-            p1=bytes(p1),
+            p1=self._p1(),
             index=lambda v: self.index(*v),
             actions=lambda j: adj.names[j // nq],
         )
 
-    def solve(self) -> Regions:
-        """P1's attractor of the target on the solver's kernel.
+    def _p1(self) -> bytes:
+        """The arena's owner bytes, repeated for each automaton state."""
+        p1_arena, nq = self.arena.adjacency.p1, len(self.dfa.states)
+        p1 = bytearray(len(p1_arena) * nq)
+        for k in range(nq):
+            p1[k::nq] = p1_arena
+        return bytes(p1)
 
-        The regions keep the kernel's level list and decode their state-keyed
-        sets on first read; no strategy is derived here.
+    def solve(self) -> Regions:
+        """P1's attractor of the target ``S x F`` on the solver's kernel.
+
+        The kernel reads a predecessor index built straight from the arena's
+        predecessors and the rows, without the edges out of the seeded
+        ``S x F``: position ``(d, rows[d][k])`` has the predecessor ``(s, k)``
+        for each arena edge ``s -> d`` and each non-accepting ``k``.  No
+        successor list is built.  The regions keep the kernel's level list and
+        decode their state-keyed sets on first read; no strategy is derived
+        here.
         """
+        adj, rows = self.arena.adjacency, self.rows
+        into, back, out_degree = _predecessors(adj.succ)  # of the arena
         nq = len(self.dfa.states)
         accepting = [self.dfa.index[q] for q in self.dfa.accepting]
-        seeds = [i + k for i in range(0, len(self.arena.states) * nq, nq) for k in accepting]
-        return solve_indexed(self.indexed(), seeds)
+        free = [k for k in range(nq) if k not in accepting]
+        n = len(rows) * nq
+        start = [0] * (n + 1)
+        for d, row in enumerate(rows):
+            m = into[d + 1] - into[d]
+            for k in free:
+                start[d * nq + row[k] + 1] += m
+        start = list(accumulate(start))
+        fill = start[:n]
+        flat = [0] * start[n]
+        entered = {k: [s * nq + k for s in back] for k in free}  # (s, k) for each arena edge
+        for d, row in enumerate(rows):
+            a, b = into[d], into[d + 1]
+            for k in free:
+                p = d * nq + row[k]
+                at = fill[p]
+                fill[p] = at + b - a
+                flat[at:at + b - a] = entered[k][a:b]
+        degree = [0] * n
+        for k in range(nq):
+            degree[k::nq] = out_degree
+        seeds = [i + k for i in range(0, n, nq) for k in accepting]
+        return Regions(_attractor((start, flat, degree), self._p1(), seeds), self)
 
 
 def label_rows(arena: Arena, d: Dfa, which: int) -> list[list[int]]:
-    """The row of ``d`` for each arena state's label under labeling ``which``."""
-    return [d.row(arena.label(s, which)) for s in arena.states]
+    """The row of ``d`` for each arena state's label under labeling ``which``.
+
+    The arena keeps the list for the last DFA asked under each labeling, so
+    the product and the HTS over one arena and DFA share it.
+    """
+    last = arena._label_rows.get(which)
+    if last is not None and last[0] is d:
+        return last[1]
+    rows = [d.row(arena.label(s, which)) for s in arena.states]
+    arena._label_rows[which] = (d, rows)
+    return rows
 
 
 def build_product(arena: Arena, which: int, d: Dfa) -> ProductGame:

@@ -1,10 +1,15 @@
 """Attractor-based solver for two-player turn-based reachability/safety games.
 
 Every solve runs on one private int kernel, :func:`_attractor`: states are the
-indices ``0..n-1``, ``succ[i]`` lists the successor indices of ``i`` (one entry
-per action), ``p1[i]`` is nonzero where P1 owns ``i``, and the search runs
-backward from the seed indices layer by layer, counting outstanding
-successors of each P2 state.  A solve is linear in the number of transitions.
+indices ``0..n-1``, ``p1[i]`` is nonzero where P1 owns ``i``, and the search
+runs backward from the seed indices layer by layer, counting outstanding
+successors of each P2 state.  It reads a predecessor index
+``(start, flat, degree)``: ``flat[start[j]:start[j + 1]]`` lists every ``i``
+with an edge to ``j``, once per edge, and ``degree[i]`` is the number of
+``i``'s out-edges.  A seed sits at level 0 from the start, so the search never
+reads the edges out of it, and an index may leave them out; the product games
+and the restricted game build theirs that way, once per solve or per pair of
+solves.  A solve is linear in the edges it indexes.
 
 A game graph reaches the kernel through an :class:`IndexedGame`.  A graph that
 provides an ``indexed()`` method (the arena, the product game and the
@@ -14,17 +19,18 @@ exposing ``states``, ``owner`` (state -> 1 or 2) and ``transitions`` (state ->
 result keeps the kernel's level list: :class:`Regions` decodes its
 state-keyed sets and ranks only when they are first read, and
 :func:`p1_strategy` and :func:`p2_strategy` derive the min-action strategies
-from the same levels, each only for a caller that keeps it.
+from the same levels and successor lists, each only for a caller that keeps
+it.
 
-The almost-sure solve runs both halves of its outer rounds on the same kernel;
-the predecessor build, :func:`_predecessors`, is the kernel's alone.
+The almost-sure solve runs both halves of its outer rounds on the same kernel
+and index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Any, Callable, Hashable, Iterable, Protocol, Sequence
 
 __all__ = [
@@ -34,7 +40,6 @@ __all__ = [
     "Strategy",
     "p1_strategy",
     "p2_strategy",
-    "solve_indexed",
     "solve_reachability",
 ]
 
@@ -123,33 +128,46 @@ def _index_game(game: GameGraph) -> IndexedGame:
     )
 
 
-def _predecessors(succ: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
-    """Every ``i`` with an edge to ``j``, once per edge, as ``flat[start[j]:start[j + 1]]``.
+Index = tuple  # (start, flat, degree), see the module docstring
+
+
+def _predecessors(succ: Sequence[Sequence[int]], seeded: Sequence[int] | None = None) -> Index:
+    """The predecessor index of ``succ``, without the edges out of any ``i``
+    with ``seeded[i]`` nonzero.
 
     Two flat lists rather than one list per state keep the number of objects
     allocated, and so the garbage collector's work, independent of the
     number of states.
     """
     n = len(succ)
+    sources = range(n) if seeded is None else [i for i, s in enumerate(seeded) if not s]
     start = [0] * (n + 1)
-    for out in succ:
-        for j in out:
+    for i in sources:
+        for j in succ[i]:
             start[j + 1] += 1
     start = list(accumulate(start))
     fill = start[:n]
     flat = [0] * start[n]
-    for i, out in enumerate(succ):
-        for j in out:
+    for i in sources:
+        for j in succ[i]:
             flat[fill[j]] = i
             fill[j] += 1
-    return start, flat
+    return start, flat, [len(out) for out in succ]
 
 
-def _attractor(succ: Sequence[Sequence[int]], p1: bytes, seeds: Iterable[int]) -> list[int]:
-    """Attractor level of every state for P1, ``-1`` outside the attractor."""
-    start, flat = _predecessors(succ)
-    pending = [len(out) for out in succ]  # P2 successors not yet attracted
-    level = [-1] * len(succ)
+def _attractor(
+    pred: Index, p1: bytes, seeds: Iterable[int], level: list[int] | None = None
+) -> list[int]:
+    """Attractor level of every state for P1, ``-1`` outside the attractor.
+
+    ``level``, when given, is the list to fill in place of ``[-1] * n``: a
+    state preset to anything but ``-1`` keeps its value and never joins.  A
+    state whose out-edges the index leaves out joins only as a seed.
+    """
+    start, flat, degree = pred
+    pending = list(degree)  # P2 successors not yet attracted
+    if level is None:
+        level = [-1] * len(degree)
     layer = list(seeds)
     for i in layer:
         level[i] = 0
@@ -159,7 +177,7 @@ def _attractor(succ: Sequence[Sequence[int]], p1: bytes, seeds: Iterable[int]) -
         found = []
         for j in layer:
             for i in flat[start[j]:start[j + 1]]:
-                if level[i] >= 0:
+                if level[i] != -1:
                     continue
                 if not p1[i]:
                     pending[i] -= 1
@@ -183,22 +201,18 @@ def solve_reachability(
     """
     indexed = getattr(game, "indexed", None)
     g = indexed() if indexed is not None else _index_game(game)
-    seeds: set[int] = set()
+    seeded = bytearray(len(g.succ))
     unknown = []
     for v in target:
         try:
-            seeds.add(g.index(v))
+            seeded[g.index(v)] = 1
         except (KeyError, TypeError, ValueError):
             unknown.append(v)
     if unknown:
         raise ValueError(f"target contains unknown states: {sorted(map(repr, unknown))[:3]}")
-    regions = solve_indexed(g, seeds)
-    return regions, p1_strategy(g, regions.levels), p2_strategy(g, regions.levels)
-
-
-def solve_indexed(g: IndexedGame, seeds: Iterable[int]) -> Regions:
-    """The regions of an interned graph whose target is given as indices."""
-    return Regions(_attractor(g.succ, g.p1, seeds), g.game)
+    pred = _predecessors(g.succ, seeded)
+    levels = _attractor(pred, g.p1, compress(range(len(seeded)), seeded))
+    return Regions(levels, g.game), p1_strategy(g, levels), p2_strategy(g, levels)
 
 
 def p1_strategy(g: IndexedGame, levels: Sequence[int]) -> Strategy:

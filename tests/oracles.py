@@ -164,6 +164,51 @@ def dict_attractor_oracle(game, target: Iterable) -> tuple[Regions, dict, dict]:
     return regions, strat1, strat2
 
 
+def successor_list_attractor(
+    succ: Sequence[Sequence[int]], p1: bytes, seeds: Iterable[int]
+) -> list[int]:
+    """Attractor levels by the reachability kernel as it once read successor
+    lists: it indexes the predecessors of every edge, the edges out of seeds
+    included, and counts a P2 state's pending successors from its list.
+
+    ``succ[i]`` lists the successor indices of ``i``, ``p1[i]`` is nonzero
+    where P1 owns ``i``; ``-1`` marks a state outside the attractor.
+    """
+    n = len(succ)
+    start = [0] * (n + 1)
+    for out in succ:
+        for j in out:
+            start[j + 1] += 1
+    start = list(itertools.accumulate(start))
+    fill = start[:n]
+    flat = [0] * start[n]
+    for i, out in enumerate(succ):
+        for j in out:
+            flat[fill[j]] = i
+            fill[j] += 1
+    pending = [len(out) for out in succ]
+    level = [-1] * n
+    layer = list(seeds)
+    for i in layer:
+        level[i] = 0
+    depth = 0
+    while layer:
+        depth += 1
+        found = []
+        for j in layer:
+            for i in flat[start[j]:start[j + 1]]:
+                if level[i] >= 0:
+                    continue
+                if not p1[i]:
+                    pending[i] -= 1
+                    if pending[i]:
+                        continue
+                level[i] = depth
+                found.append(i)
+        layer = found
+    return level
+
+
 def reachable_oracle(transitions, start) -> frozenset:
     seen = {start}
     stack = [start]

@@ -191,6 +191,18 @@ class TestAgainstNestedFixedPoint:
         assert (asw.x_star, asw.levels, asw.strategy) == nested_fixed_point_oracle(g)
 
 
+def _count_kernel_calls(monkeypatch) -> list:
+    """The arguments of every later kernel call of the almost-sure solve."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _attractor(*args)
+
+    monkeypatch.setattr(almostsure, "_attractor", counted)
+    return calls
+
+
 def _edge_input(owner, transitions, label_true, label_perceived):
     states = tuple(sorted(owner))
     arena = Arena(
@@ -250,6 +262,54 @@ def _drop_chain_input(n):
     return _edge_input(owner, transitions, label_true={goal}, label_perceived={goal, trap})
 
 
+def _target_exit_input():
+    # The adversary at 2 is the target: its one move enters 3, labelled a, so
+    # the true objective holds however the play arrived.  3 leads only to the
+    # trap 4, which the first round misses.  The adversary's states 0 and 1
+    # each move to 2 or to the other, so both reach 2 almost surely; every
+    # state is labelled a in her perception, so every move looks rational.
+    return _edge_input(
+        owner={0: 2, 1: 2, 2: 2, 3: 1, 4: 1},
+        transitions={
+            0: {"0->2": 2, "0->1": 1},
+            1: {"1->2": 2, "1->0": 0},
+            2: {"2->3": 3},
+            3: {"3->4": 4},
+            4: {"4->4": 4},
+        },
+        label_true={3},
+        label_perceived={0, 1, 2, 3, 4},
+    )
+
+
+def _late_drop_input():
+    # 9 is the goal and 10 the trap.  The first round misses the trap, and the
+    # drop pass removes the adversary's 3, which may enter it.  The second
+    # round then misses 4 and 5, which reached the goal only through 3, and
+    # the second drop pass removes the adversary's 6, which may enter 4, and
+    # P1's 1, whose moves lead to 3 and 6.  P1's 2 keeps its move to the
+    # adversary's 7, which with 8 reaches the goal almost surely, so 2 stays
+    # although its other move leads to 3, dropped a round before.
+    return _edge_input(
+        owner={0: 1, 1: 1, 2: 1, 3: 2, 4: 1, 5: 1, 6: 2, 7: 2, 8: 2, 9: 1, 10: 1},
+        transitions={
+            0: {"0->1": 1, "0->2": 2},
+            1: {"1->3": 3, "1->6": 6},
+            2: {"2->3": 3, "2->7": 7},
+            3: {"3->9": 9, "3->10": 10},
+            4: {"4->3": 3, "4->5": 5},
+            5: {"5->4": 4},
+            6: {"6->9": 9, "6->4": 4},
+            7: {"7->9": 9, "7->8": 8},
+            8: {"8->9": 9, "8->7": 7},
+            9: {"9->9": 9},
+            10: {"10->10": 10},
+        },
+        label_true={9},
+        label_perceived=set(range(11)),
+    )
+
+
 class TestEdgeGraphs:
     """Dead ends outside the target, and a fragment that is all target."""
 
@@ -280,6 +340,26 @@ class TestEdgeGraphs:
                 stealthy = audit_stealth(expected, bundle.sr, rg.target)
                 assert got == (rg.position(expected.states[-1]), len(expected.actions), stealthy)
                 assert bool(rg.at_target[got[0]]) == expected.reached_target
+
+    def test_target_with_a_move_out_of_x_stays(self, monkeypatch):
+        g = synthesize(_target_exit_input()).stochastic
+        rg = g.restricted
+        (t,) = g.target
+        assert t[0] == 2 and set(rg.transitions[t].values()) == {(3, "q1", "q1")}
+        calls = _count_kernel_calls(monkeypatch)
+        asw = solve_asw(g)
+        assert len(calls) == 3  # a round misses 3 and 4, a drop pass, a round
+        assert t in asw.x_star
+        assert asw.x_star == {t, (0, "q0", "q1"), (1, "q0", "q1")}
+        assert (asw.x_star, asw.levels, asw.strategy) == nested_fixed_point_oracle(g)
+
+    def test_choice_into_earlier_drops_keeps_its_pending_count(self, monkeypatch):
+        g = synthesize(_late_drop_input()).stochastic
+        calls = _count_kernel_calls(monkeypatch)
+        asw = solve_asw(g)
+        assert len(calls) == 5  # round, drop pass, round, drop pass, round
+        assert {v[0] for v in asw.x_star} == {0, 2, 7, 8, 9}
+        assert (asw.x_star, asw.levels, asw.strategy) == nested_fixed_point_oracle(g)
 
     def test_all_target_fragment(self):
         bundle = synthesize(_all_target_input())

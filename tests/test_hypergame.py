@@ -10,10 +10,11 @@ from hypergames.hypergame import (
     solve_deceptive_sure,
     sr_actions,
 )
-from hypergames import reachsolver
+from hypergames import hypergame, reachsolver
 from hypergames.almostsure import build_stochastic_game, solve_asw
 from hypergames.cli import RunConfig, build_report, synthesize
 from hypergames.arena import HypergameInput
+from hypergames.product import ProductGame
 from hypergames.speclang import parse_formula
 
 from oracles import eager_restricted_game_oracle
@@ -283,6 +284,31 @@ class TestNoFullEnumeration:
         assert "by_state" not in vars(bundle.sr)
         # the sure solve returns its result decoded
         assert {"level", "win1", "win2"} <= set(vars(bundle.sure_regions))
+
+    def test_synthesize_indexes_each_game_once(self, monkeypatch):
+        # the product solves build no S x Q successor lists, the two solves on
+        # the restricted game share one predecessor index, released after
+        # them, and the HTS reuses the products' rows
+        product_indexed, built = [], []
+        indexed = ProductGame.indexed
+        build = hypergame._predecessors
+
+        def counted_indexed(self):
+            product_indexed.append(self)
+            return indexed(self)
+
+        def counted_build(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(ProductGame, "indexed", counted_indexed)
+        monkeypatch.setattr(hypergame, "_predecessors", counted_build)
+        bundle = synthesize(self._conj_input())
+        assert product_indexed == []
+        assert len(built) == 1 and built[0][0] is bundle.restricted.succ
+        assert "predecessors" not in vars(bundle.restricted)
+        assert bundle.hts.next1 is bundle.product_true.rows
+        assert bundle.hts.next2 is bundle.product_perceived.rows
 
     def test_full_space_solves_every_triple(self):
         inp = self._conj_input()

@@ -5,10 +5,10 @@ import pytest
 from hypergames.arena import HypergameInput
 from hypergames.cli import synthesize
 from hypergames.product import build_product
-from hypergames.speclang import AlphabetError, compile_to_dfa, parse_formula
+from hypergames.speclang import AlphabetError, Dfa, all_symbols, compile_to_dfa, parse_formula
 
-from oracles import dict_attractor_oracle
-from randgen import product_cases, random_arena, random_dfa
+from oracles import dict_attractor_oracle, successor_list_attractor
+from randgen import oracle_cases, product_cases, random_arena, random_dfa
 
 
 def test_full_space_and_target(running_bundle):
@@ -120,3 +120,47 @@ def test_synthesize_builds_no_product_dicts():
     for prod in (bundle.product_true, bundle.product_perceived):
         # a cached view is stored in the instance dict on first access
         assert not {"states", "owner", "transitions", "target"} & set(vars(prod))
+
+
+def _two_goal_dfa(ap) -> Dfa:
+    """``F a | F b`` with one accepting state for each goal; the accepting
+    states are listed first and last, around the one that is not."""
+    states = ("qa", "q0", "qb")
+    step = {}
+    for symbol in all_symbols(ap):
+        step[("q0", symbol)] = "qa" if "a" in symbol else "qb" if "b" in symbol else "q0"
+        step[("qa", symbol)], step[("qb", symbol)] = "qa", "qb"
+    return Dfa(frozenset(ap), states, all_symbols(ap), step, "q0", frozenset({"qa", "qb"}))
+
+
+def _solved_products(running_input):
+    """Products of every oracle case, and of random arenas with random DFAs
+    and with the two-goal DFA, under both labelings."""
+    for inp in oracle_cases(running_input):
+        bundle = synthesize(inp)
+        yield bundle.product_true
+        yield bundle.product_perceived
+    for seed in range(40):
+        rng = random.Random(seed)
+        arena = random_arena(rng, max_states=20)
+        for d in (random_dfa(rng, arena.ap), _two_goal_dfa(arena.ap)):
+            for which in (1, 2):
+                yield build_product(arena, which, d)
+
+
+def test_solve_matches_successor_list_kernel_and_dict_oracle(running_input):
+    # the predecessor index built from the arena's predecessors and the rows,
+    # without the edges out of S x F, gives the levels of the kernel that read
+    # the full successor lists, and those of the state-keyed worklist solver
+    accepting_counts = set()
+    for prod in _solved_products(running_input):
+        levels = prod.solve().levels
+        g = prod.indexed()
+        seeds = [g.index(v) for v in prod.target]
+        assert levels == successor_list_attractor(g.succ, g.p1, seeds)
+        expected, _, _ = dict_attractor_oracle(prod, prod.target)
+        assert levels == expected.levels
+        accepting_counts.add(min(len(prod.dfa.accepting), 2))
+        if len(prod.dfa.accepting) == len(prod.dfa.states):
+            accepting_counts.add("all")
+    assert accepting_counts == {0, 1, 2, "all"}
