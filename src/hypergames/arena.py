@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Any
 
 from . import speclang
-from .reachsolver import IndexedGame
 from .speclang import Dfa, Formula
 
 __all__ = [
@@ -92,16 +91,6 @@ class Arena:
             succ=[[where[dst] for dst in m.values()] for m in moves],
             names=[tuple(m) for m in moves],
             p1=bytes(self.owner[s] == P1 for s in self.states),
-        )
-
-    def indexed(self) -> IndexedGame:
-        adj = self.adjacency
-        return IndexedGame(
-            game=self,
-            succ=adj.succ,
-            p1=adj.p1,
-            index=adj.where.__getitem__,
-            actions=adj.names.__getitem__,
         )
 
 

@@ -40,7 +40,7 @@ from typing import Any, Iterable, Iterator
 from . import almostsure, hypergame, simulate as sim
 from .arena import Arena, ArenaFormatError, HypergameInput, load_arena_file
 from .product import ProductGame, build_product
-from .reachsolver import Regions, Strategy, p1_strategy, solve_reachability
+from .reachsolver import Regions, Strategy, _attractor, _predecessors, solve_reachability
 from .speclang import Dfa, DfaSizeError, Formula, FormulaError, compile_to_dfa
 
 __all__ = ["RunConfig", "SynthesisBundle", "synthesize", "run", "export_dot", "main"]
@@ -79,9 +79,9 @@ class SynthesisBundle:
 
     @cached_property
     def true_strategy(self) -> Strategy:
-        """P1's min-action attractor strategy in the true product, derived from
-        its level list on first read."""
-        return p1_strategy(self.product_true.indexed(), self.regions_true.levels)
+        """P1's min-action attractor strategy in the true product, solved on
+        first read."""
+        return solve_reachability(self.product_true, self.product_true.target)[1]
 
     # The arena-level shortcut regions are read only by the perceptual report
     # and its DOT rendering, so they are solved on first access.
@@ -98,11 +98,12 @@ def _arena_shortcut_regions(arena: Arena, dfa: Dfa, which: int) -> Regions:
     # Target-marking shortcut: arena states whose label alone drives the
     # automaton from its initial state into acceptance.  Exact for plain
     # reachability automata; reported alongside the product-level solves.
-    target = {
-        s for s in arena.states if dfa.delta[(dfa.initial, arena.label(s, which))] in dfa.accepting
-    }
-    regions, _s1, _s2 = solve_reachability(arena, target)
-    return regions
+    seeded = bytes(
+        dfa.delta[(dfa.initial, arena.label(s, which))] in dfa.accepting for s in arena.states
+    )
+    adj = arena.adjacency
+    seeds = compress(range(len(seeded)), seeded)
+    return Regions(_attractor(_predecessors(adj.succ, seeded), adj.p1, seeds), arena)
 
 
 def synthesize(inp: HypergameInput, dfa_cap: int = 10_000, full_space: bool = False) -> SynthesisBundle:

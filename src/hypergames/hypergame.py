@@ -40,15 +40,7 @@ from typing import Sequence
 
 from .arena import Arena, HypergameInput, StateId
 from .product import ProductGame, label_rows
-from .reachsolver import (
-    Index,
-    IndexedGame,
-    Regions,
-    Strategy,
-    _attractor,
-    _predecessors,
-    p1_strategy,
-)
+from .reachsolver import Index, Regions, Strategy, _attractor, _predecessors, p1_strategy
 from .speclang import Dfa
 
 __all__ = [
@@ -281,7 +273,6 @@ class RestrictedGame:
     states: tuple[HtsState, ...]
     initial: HtsState
     target: frozenset
-    reachable_only: bool
     codes: list[int]
     succ: list[list[int]]
     names: list[tuple[str, ...]]
@@ -307,15 +298,6 @@ class RestrictedGame:
         :func:`almostsure.solve_asw`, which runs after the sure solve, releases
         it."""
         return _predecessors(self.succ, self.at_target)
-
-    def indexed(self) -> IndexedGame:
-        return IndexedGame(
-            game=self,
-            succ=self.succ,
-            p1=self.p1,
-            index=self.position,
-            actions=self.names.__getitem__,
-        )
 
     @cached_property
     def owner(self) -> dict[HtsState, int]:
@@ -398,7 +380,6 @@ def build_restricted_game(
         states=states,
         initial=hts.initial,
         target=frozenset(compress(states, at_target)),
-        reachable_only=reachable_only,
         codes=codes,
         succ=[succ[n] for n in perm],
         names=[names[n] for n in perm],
@@ -414,4 +395,4 @@ def solve_deceptive_sure(rg: RestrictedGame) -> tuple[Regions, Strategy]:
     undefined inside it, where P1 switches to his true winning strategy.
     """
     levels = _attractor(rg.predecessors, rg.p1, compress(range(len(rg.states)), rg.at_target))
-    return Regions(levels, rg).decode(), p1_strategy(rg.indexed(), levels)
+    return Regions(levels, rg).decode(), p1_strategy(rg.states, rg.names, rg.succ, rg.p1, levels)

@@ -9,9 +9,8 @@ label, and :func:`label_rows` hands the products and the HTS one list of rows
 per labeling.  :meth:`ProductGame.solve` builds the solver's predecessor index
 straight from the arena's predecessors and the rows, without the edges out of
 the seeded ``S x F``, and returns regions that keep the kernel's level list;
-the state-keyed views (``states``, ``owner``, ``transitions``, ``target``) and
-the successor lists of :meth:`ProductGame.indexed` are built only when
-something reads them.
+the state-keyed views (``states``, ``owner``, ``transitions``, ``target``) are
+built only when something reads them.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from .arena import Arena, StateId
-from .reachsolver import IndexedGame, Regions, _attractor, _predecessors
+from .reachsolver import Regions, _attractor, _predecessors
 from .speclang import AlphabetError, Dfa, all_symbols
 
 __all__ = ["ProductGame", "build_product", "label_rows"]
@@ -77,44 +76,15 @@ class ProductGame:
     def target(self) -> frozenset:
         return frozenset((s, q) for s in self.arena.states for q in self.dfa.accepting)
 
-    def indexed(self) -> IndexedGame:
-        """Int adjacency over every ``(s, q)``, for strategies and tests: ``(s, q)``
-        is ``s_index * |Q| + q_index``.  :meth:`solve` does not build it."""
-        adj, rows = self.arena.adjacency, self.rows
-        nq = len(self.dfa.states)
-        # moved[d][k]: position of the product state entered at d from automaton state k
-        moved = [[d * nq + r for r in row] for d, row in enumerate(rows)]
-        no_moves = [()] * nq
-        succ: list = []
-        for out in adj.succ:
-            # one tuple per automaton state k, of the positions entered from (s, k)
-            succ.extend(zip(*[moved[d] for d in out]) if out else no_moves)
-        return IndexedGame(
-            game=self,
-            succ=succ,
-            p1=self._p1(),
-            index=lambda v: self.index(*v),
-            actions=lambda j: adj.names[j // nq],
-        )
-
-    def _p1(self) -> bytes:
-        """The arena's owner bytes, repeated for each automaton state."""
-        p1_arena, nq = self.arena.adjacency.p1, len(self.dfa.states)
-        p1 = bytearray(len(p1_arena) * nq)
-        for k in range(nq):
-            p1[k::nq] = p1_arena
-        return bytes(p1)
-
     def solve(self) -> Regions:
         """P1's attractor of the target ``S x F`` on the solver's kernel.
 
         The kernel reads a predecessor index built straight from the arena's
         predecessors and the rows, without the edges out of the seeded
         ``S x F``: position ``(d, rows[d][k])`` has the predecessor ``(s, k)``
-        for each arena edge ``s -> d`` and each non-accepting ``k``.  No
-        successor list is built.  The regions keep the kernel's level list and
-        decode their state-keyed sets on first read; no strategy is derived
-        here.
+        for each arena edge ``s -> d`` and each non-accepting ``k``.  The
+        regions keep the kernel's level list and decode their state-keyed sets
+        on first read; no strategy is derived here.
         """
         adj, rows = self.arena.adjacency, self.rows
         into, back, out_degree = _predecessors(adj.succ)  # of the arena
@@ -139,10 +109,12 @@ class ProductGame:
                 fill[p] = at + b - a
                 flat[at:at + b - a] = entered[k][a:b]
         degree = [0] * n
+        p1 = bytearray(n)
         for k in range(nq):
             degree[k::nq] = out_degree
+            p1[k::nq] = adj.p1
         seeds = [i + k for i in range(0, n, nq) for k in accepting]
-        return Regions(_attractor((start, flat, degree), self._p1(), seeds), self)
+        return Regions(_attractor((start, flat, degree), p1, seeds), self)
 
 
 def label_rows(arena: Arena, d: Dfa, which: int) -> list[list[int]]:

@@ -7,20 +7,19 @@ successors of each P2 state.  It reads a predecessor index
 ``(start, flat, degree)``: ``flat[start[j]:start[j + 1]]`` lists every ``i``
 with an edge to ``j``, once per edge, and ``degree[i]`` is the number of
 ``i``'s out-edges.  A seed sits at level 0 from the start, so the search never
-reads the edges out of it, and an index may leave them out; the product games
-and the restricted game build theirs that way, once per solve or per pair of
-solves.  A solve is linear in the edges it indexes.
+reads the edges out of it, and an index may leave them out; every caller
+builds its index that way, once per solve or per pair of solves.  A solve is
+linear in the edges it indexes.
 
-A game graph reaches the kernel through an :class:`IndexedGame`.  A graph that
-provides an ``indexed()`` method (the arena, the product game and the
-restricted game) supplies the int adjacency it already holds; any other object
-exposing ``states``, ``owner`` (state -> 1 or 2) and ``transitions`` (state ->
-{action: successor}) is indexed once per call by :func:`_index_game`.  The
-result keeps the kernel's level list: :class:`Regions` decodes its
-state-keyed sets and ranks only when they are first read, and
-:func:`p1_strategy` and :func:`p2_strategy` derive the min-action strategies
-from the same levels and successor lists, each only for a caller that keeps
-it.
+The CLI's arena shortcut, the product games and the restricted game call the
+kernel on the int graphs they already hold.  :func:`solve_reachability` is
+the entry for any graph exposing ``states``, ``owner`` (state -> 1 or 2) and
+``transitions`` (state -> {action: successor}): it interns the graph once per
+call, in ``states`` order.  The result keeps the kernel's level list:
+:class:`Regions` decodes its state-keyed sets and ranks only when they are
+first read, and :func:`p1_strategy` and :func:`p2_strategy` derive the
+min-action strategies from the same levels and successor lists, each only for
+a caller that keeps it.
 
 The almost-sure solve runs both halves of its outer rounds on the same kernel
 and index.
@@ -31,11 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress
-from typing import Any, Callable, Hashable, Iterable, Protocol, Sequence
+from typing import Any, Hashable, Iterable, Sequence
 
 __all__ = [
-    "GameGraph",
-    "IndexedGame",
     "Regions",
     "Strategy",
     "p1_strategy",
@@ -44,12 +41,6 @@ __all__ = [
 ]
 
 State = Hashable
-
-
-class GameGraph(Protocol):
-    states: tuple
-    owner: dict
-    transitions: dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,37 +86,6 @@ class Regions:
 
 
 Strategy = dict  # state -> chosen action
-
-
-@dataclass(frozen=True)
-class IndexedGame:
-    """A game graph interned to the ints ``0..n-1``, with the way back.
-
-    ``game.states[i]`` is the state at position ``i``.  ``succ[i]`` is aligned
-    with ``actions(i)``: the k-th action of state ``i`` leads to
-    ``succ[i][k]``.  ``index`` maps a state to its int and raises
-    ``KeyError``, ``TypeError`` or ``ValueError`` for anything else.
-    """
-
-    game: Any
-    succ: Sequence[Sequence[int]]
-    p1: bytes
-    index: Callable[[State], int]
-    actions: Callable[[int], Sequence[str]]
-
-
-def _index_game(game: GameGraph) -> IndexedGame:
-    """Intern any ``states``/``owner``/``transitions`` graph in ``states`` order."""
-    states = tuple(game.states)
-    where = {v: i for i, v in enumerate(states)}
-    moves = [game.transitions[v] for v in states]
-    return IndexedGame(
-        game=game,
-        succ=[[where[dst] for dst in m.values()] for m in moves],
-        p1=bytes(game.owner[v] == 1 for v in states),
-        index=where.__getitem__,
-        actions=lambda i: tuple(moves[i]),
-    )
 
 
 Index = tuple  # (start, flat, degree), see the module docstring
@@ -189,48 +149,67 @@ def _attractor(
     return level
 
 
-def solve_reachability(
-    game: GameGraph, target: Iterable[State]
-) -> tuple[Regions, Strategy, Strategy]:
+def solve_reachability(game: Any, target: Iterable[State]) -> tuple[Regions, Strategy, Strategy]:
     """Solve the reachability game for P1 with the given target set.
 
-    Returns the determinacy partition together with memoryless strategies:
-    P1's strategy decreases the attractor level at every win1 state outside
-    the target; P2's strategy stays inside win2 at every win2 state she owns.
-    Ties are broken by the lexicographically smallest action identifier.
+    ``game`` exposes ``states``, ``owner`` and ``transitions``; it is interned
+    once per call.  Returns the determinacy partition together with memoryless
+    strategies: P1's strategy decreases the attractor level at every win1
+    state outside the target; P2's strategy stays inside win2 at every win2
+    state she owns.  Ties are broken by the lexicographically smallest action
+    identifier.
     """
-    indexed = getattr(game, "indexed", None)
-    g = indexed() if indexed is not None else _index_game(game)
-    seeded = bytearray(len(g.succ))
+    states = tuple(game.states)
+    where = {v: i for i, v in enumerate(states)}
+    moves = [game.transitions[v] for v in states]
+    names = [tuple(m) for m in moves]
+    succ = [[where[dst] for dst in m.values()] for m in moves]
+    p1 = bytes(game.owner[v] == 1 for v in states)
+    seeded = bytearray(len(states))
     unknown = []
     for v in target:
         try:
-            seeded[g.index(v)] = 1
-        except (KeyError, TypeError, ValueError):
+            seeded[where[v]] = 1
+        except (KeyError, TypeError):  # TypeError: unhashable
             unknown.append(v)
     if unknown:
         raise ValueError(f"target contains unknown states: {sorted(map(repr, unknown))[:3]}")
-    pred = _predecessors(g.succ, seeded)
-    levels = _attractor(pred, g.p1, compress(range(len(seeded)), seeded))
-    return Regions(levels, g.game), p1_strategy(g, levels), p2_strategy(g, levels)
+    levels = _attractor(_predecessors(succ, seeded), p1, compress(range(len(seeded)), seeded))
+    return (
+        Regions(levels, game),
+        p1_strategy(states, names, succ, p1, levels),
+        p2_strategy(states, names, succ, p1, levels),
+    )
 
 
-def p1_strategy(g: IndexedGame, levels: Sequence[int]) -> Strategy:
+def p1_strategy(
+    states: Sequence[State],
+    names: Sequence[Sequence[str]],
+    succ: Sequence[Sequence[int]],
+    p1: bytes,
+    levels: Sequence[int],
+) -> Strategy:
     """At every P1 state of win1 outside the target, the smallest action whose
-    successor has a lower level."""
-    states, succ, p1, actions = g.game.states, g.succ, g.p1, g.actions
+    successor has a lower level.  The k-th action ``names[i][k]`` of position
+    ``i`` leads to ``succ[i][k]``, and ``states[i]`` keys the result."""
     return {
-        states[i]: min(a for a, j in zip(actions(i), succ[i]) if 0 <= levels[j] < lv)
+        states[i]: min(a for a, j in zip(names[i], succ[i]) if 0 <= levels[j] < lv)
         for i, lv in enumerate(levels)
         if lv > 0 and p1[i]
     }
 
 
-def p2_strategy(g: IndexedGame, levels: Sequence[int]) -> Strategy:
-    """At every P2 state of win2 with a move, the smallest action that stays in win2."""
-    states, succ, p1, actions = g.game.states, g.succ, g.p1, g.actions
+def p2_strategy(
+    states: Sequence[State],
+    names: Sequence[Sequence[str]],
+    succ: Sequence[Sequence[int]],
+    p1: bytes,
+    levels: Sequence[int],
+) -> Strategy:
+    """At every P2 state of win2 with a move, the smallest action that stays in
+    win2; the arguments are those of :func:`p1_strategy`."""
     return {
-        states[i]: min(a for a, j in zip(actions(i), succ[i]) if levels[j] < 0)
+        states[i]: min(a for a, j in zip(names[i], succ[i]) if levels[j] < 0)
         for i, lv in enumerate(levels)
         if lv < 0 and not p1[i] and succ[i]
     }

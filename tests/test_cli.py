@@ -22,11 +22,12 @@ from hypergames.cli import (
     run,
     synthesize,
 )
+from hypergames.reachsolver import solve_reachability
 from hypergames.speclang import parse_formula
 
 from conftest import SCENARIO
-from oracles import report_oracle
-from randgen import corridor_input, random_arena
+from oracles import attractor_oracle, report_oracle
+from randgen import corridor_input, random_arena, random_dfa
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -168,7 +169,7 @@ REPORT_GOLDENS = [
     (SCENARIO, "running_example", "perceptual", [], 0),
     (SCENARIO, "running_example", "verify", [], 2),
     (SCENARIO, "running_example", "simulate", ["--trials", "200"], 0),
-    # wins 149 of 200, so the bytes depend on every trial's draws
+    # wins 139 of 200, so the bytes depend on every trial's draws
     (SCENARIO, "running_example_cap5", "simulate", ["--trials", "200", "--cap", "5"], 0),
 ] + [
     (GOLDEN / f"generated_{ids}_ids.json", f"generated_{ids}_ids", mode, [], 0)
@@ -501,6 +502,29 @@ def test_arena_regions_solved_on_demand(running_input):
     report = json.loads(build_report(bundle, RunConfig(str(SCENARIO), "perceptual")))
     assert lazy <= set(vars(bundle))
     assert report["arena_level"]["true"]["win1"] == [5, 6, 7]
+
+
+def test_arena_regions_match_naive_fixed_point():
+    # the shortcut's target: arena states whose label alone drives the DFA
+    # from its initial state into acceptance, under each labeling
+    nontrivial = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        arena = random_arena(rng, max_states=20)
+        dfa = random_dfa(rng, arena.ap)
+        bundle = synthesize(HypergameInput(arena, dfa))
+        shortcut = {1: bundle.arena_regions_true, 2: bundle.arena_regions_perceived}
+        for which, regions in shortcut.items():
+            target = {
+                s for s in arena.states
+                if dfa.delta[(dfa.initial, arena.label(s, which))] in dfa.accepting
+            }
+            expected = attractor_oracle(arena, target)
+            assert regions.win1 == expected
+            assert regions.win2 == set(arena.states) - expected
+            assert regions == solve_reachability(arena, target)[0]  # ranks too
+            nontrivial += target != set() and expected != target
+    assert nontrivial >= 10
 
 
 def test_full_space_flag(tmp_path, capsys):

@@ -10,11 +10,10 @@ from hypergames.hypergame import (
     solve_deceptive_sure,
     sr_actions,
 )
-from hypergames import hypergame, reachsolver
+from hypergames import cli, hypergame, reachsolver
 from hypergames.almostsure import build_stochastic_game, solve_asw
 from hypergames.cli import RunConfig, build_report, synthesize
 from hypergames.arena import HypergameInput
-from hypergames.product import ProductGame
 from hypergames.speclang import parse_formula
 
 from oracles import eager_restricted_game_oracle
@@ -261,10 +260,11 @@ class TestNoFullEnumeration:
         assert len(bundle.restricted.states) < len(inp.arena.states) * 8 * 8
 
     def test_synthesize_builds_the_graph_once(self, monkeypatch):
-        def fail(game):
+        def fail(game, target):
             raise AssertionError("synthesize re-interned a game graph")
 
-        monkeypatch.setattr(reachsolver, "_index_game", fail)
+        monkeypatch.setattr(reachsolver, "solve_reachability", fail)
+        monkeypatch.setattr(cli, "solve_reachability", fail)
         bundle = synthesize(self._conj_input())
         # the solves read the restricted game's int graph; no state-keyed view
         # of it, or of the stochastic game over it, is built
@@ -286,25 +286,21 @@ class TestNoFullEnumeration:
         assert {"level", "win1", "win2"} <= set(vars(bundle.sure_regions))
 
     def test_synthesize_indexes_each_game_once(self, monkeypatch):
-        # the product solves build no S x Q successor lists, the two solves on
-        # the restricted game share one predecessor index, released after
-        # them, and the HTS reuses the products' rows
-        product_indexed, built = [], []
-        indexed = ProductGame.indexed
+        # the product solves build no state-keyed view of S x Q, the two
+        # solves on the restricted game share one predecessor index, released
+        # after them, and the HTS reuses the products' rows
+        built = []
         build = hypergame._predecessors
-
-        def counted_indexed(self):
-            product_indexed.append(self)
-            return indexed(self)
 
         def counted_build(*args):
             built.append(args)
             return build(*args)
 
-        monkeypatch.setattr(ProductGame, "indexed", counted_indexed)
         monkeypatch.setattr(hypergame, "_predecessors", counted_build)
         bundle = synthesize(self._conj_input())
-        assert product_indexed == []
+        for prod in (bundle.product_true, bundle.product_perceived):
+            # a cached view is stored in the instance dict on first access
+            assert not {"states", "owner", "transitions"} & set(vars(prod))
         assert len(built) == 1 and built[0][0] is bundle.restricted.succ
         assert "predecessors" not in vars(bundle.restricted)
         assert bundle.hts.next1 is bundle.product_true.rows

@@ -155,9 +155,11 @@ def test_solve_matches_successor_list_kernel_and_dict_oracle(running_input):
     accepting_counts = set()
     for prod in _solved_products(running_input):
         levels = prod.solve().levels
-        g = prod.indexed()
-        seeds = [g.index(v) for v in prod.target]
-        assert levels == successor_list_attractor(g.succ, g.p1, seeds)
+        where = {v: i for i, v in enumerate(prod.states)}
+        succ = [[where[dst] for dst in prod.transitions[v].values()] for v in prod.states]
+        p1 = bytes(prod.owner[v] == 1 for v in prod.states)
+        seeds = [where[v] for v in prod.target]
+        assert levels == successor_list_attractor(succ, p1, seeds)
         expected, _, _ = dict_attractor_oracle(prod, prod.target)
         assert levels == expected.levels
         accepting_counts.add(min(len(prod.dfa.accepting), 2))

@@ -134,6 +134,6 @@ class TestAgainstDictOracle:
 
     def test_unknown_product_target_rejected(self, running_bundle):
         product = running_bundle.product_true
-        for bad in ((99, "q0"), (0, "q9"), 0, (0, "q0", "q0")):
+        for bad in ((99, "q0"), (0, "q9"), 0, (0, "q0", "q0"), [0, "q0"]):
             with pytest.raises(ValueError, match="unknown"):
-                solve_reachability(product, {bad})
+                solve_reachability(product, [bad])
