@@ -26,7 +26,7 @@ from itertools import compress
 from typing import Iterable
 
 from .hypergame import Hts, HtsState, RestrictedGame
-from .reachsolver import _attractor
+from .reachsolver import Regions, _attractor, p1_strategy
 
 __all__ = ["StochasticGame", "AswResult", "build_stochastic_game", "pre_step", "solve_asw"]
 
@@ -164,9 +164,9 @@ def solve_asw(g: StochasticGame) -> AswResult:
     linear in the edges.  The strategy maps every P1 choice state of ``X``
     outside the target to the lexicographically smallest action whose
     successor has a lower level; inside the target it is undefined, P1 having
-    switched to his true winning strategy.  Only the result is decoded to
-    states, after the index is dropped from the restricted game: the sure
-    solve runs first and shares it, and a later solve builds it again.
+    switched to his true winning strategy.  The levels are decoded as the sure
+    solve's are, after the index is dropped from the restricted game: the
+    sure solve runs first and shares it, and a later solve builds it again.
     """
     rg = g.restricted
     pred, succ, p1 = rg.predecessors, rg.succ, rg.p1
@@ -184,14 +184,5 @@ def solve_asw(g: StochasticGame) -> AswResult:
     del pred  # the last reader of the index
     vars(rg).pop("predecessors", None)
 
-    states, names = rg.states, rg.names
-    level_of: dict[HtsState, int] = {}
-    strategy: dict[HtsState, str] = {}
-    for i, rank in enumerate(level):
-        if rank < 0:
-            continue
-        v = states[i]
-        level_of[v] = rank
-        if rank and p1[i]:  # a choice state of X
-            strategy[v] = min(a for a, j in zip(names[i], succ[i]) if 0 <= level[j] < rank)
-    return AswResult(x_star=frozenset(level_of), level=level_of, strategy=strategy)
+    x = Regions(level, rg)
+    return AswResult(x.win1, x.level, p1_strategy(rg.states, rg.names, succ, p1, level))

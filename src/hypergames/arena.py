@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Any
@@ -72,10 +72,6 @@ class Arena:
     ap: frozenset[str]
     label_true: dict[StateId, frozenset[str]]
     label_perceived: dict[StateId, frozenset[str]]
-    # labeling -> (the DFA, its row for each state's label); see product.label_rows
-    _label_rows: dict[int, tuple[Dfa, list[list[int]]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def label(self, s: StateId, which: int) -> frozenset[str]:
         table = self.label_true if which == P1 else self.label_perceived

@@ -116,7 +116,7 @@ def synthesize(inp: HypergameInput, dfa_cap: int = 10_000, full_space: bool = Fa
     product_perceived = build_product(inp.arena, 2, dfa)
     regions_true = product_true.solve()
     regions_perceived = product_perceived.solve()
-    hts = hypergame.build_hts(inp, dfa, regions_true)
+    hts = hypergame.build_hts(product_true, product_perceived, regions_true)
     sr = hypergame.build_sr_map(product_perceived, regions_perceived)
     restricted = hypergame.build_restricted_game(hts, sr, reachable_only=not full_space)
     sure_regions, sure_strategy = hypergame.solve_deceptive_sure(restricted)
@@ -401,7 +401,9 @@ def export_dot(graph, regions=None, path: str | Path | None = None) -> str:
 
 
 def _argument_error(config: RunConfig) -> str | None:
-    """Why ``config``'s trial count or step cap is invalid for its mode, if it is."""
+    """Why ``config``'s DFA cap, trial count or step cap is invalid, if it is."""
+    if config.dfa_cap < 1:
+        return f"--dfa-cap must be at least 1, got {config.dfa_cap}"
     if config.mode == "simulate":
         if config.trials < 0:
             return f"--trials must be at least 0, got {config.trials}"
@@ -463,9 +465,8 @@ def run(config: RunConfig) -> int:
         }
         pieces = [json.dumps(report, indent=2, sort_keys=True)]
     elif config.mode == "verify":
-        bound = len(bundle.restricted.states) if config.cap is None else config.cap
         outcome = sim.verify_sure(
-            bundle.restricted, bundle.sure_strategy, bundle.restricted.initial, bound=bound
+            bundle.restricted, bundle.sure_strategy, bundle.restricted.initial, bound=config.cap
         )
         report = {
             "mode": "verify",
@@ -519,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="hypergames",
         description="Synthesize and validate stealthy deceptive winning strategies.",
     )
-    parser.add_argument("input", help="arena/objective document (JSON)")
+    parser.add_argument("input_path", metavar="input", help="arena/objective document (JSON)")
     parser.add_argument(
         "--mode",
         required=True,
@@ -527,27 +528,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
     parser.add_argument("--dot", help="write a DOT rendering of the relevant graph")
-    parser.add_argument("--trials", type=int, default=10_000)
+    parser.add_argument("--trials", type=int, default=RunConfig.trials)
     parser.add_argument("--cap", type=int, help="step cap (simulate) or bound (verify)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=RunConfig.seed)
     parser.add_argument(
         "--full-space",
         action="store_true",
         help="solve over the full S x Q x Q space instead of the reachable fragment",
     )
-    parser.add_argument("--dfa-cap", type=int, default=10_000)
-    args = parser.parse_args(argv)
-    config = RunConfig(
-        input_path=args.input,
-        mode=args.mode,
-        out=args.out,
-        dot=args.dot,
-        trials=args.trials,
-        cap=args.cap,
-        seed=args.seed,
-        full_space=args.full_space,
-        dfa_cap=args.dfa_cap,
-    )
+    parser.add_argument("--dfa-cap", type=int, default=RunConfig.dfa_cap)
+    config = RunConfig(**vars(parser.parse_args(argv)))
     return run(config)
 
 

@@ -8,8 +8,8 @@ deceptively by steering the play into the deception target while using only
 actions the adversary considers rational in her own perceptual game; once
 there he abandons stealth and follows his true winning strategy.
 
-The product solves reach this module as level lists: the HTS takes its
-target from the true product's levels, and the SR map works out a state's
+The HTS reads both products' rows and initial states and takes its target
+from the true product's level list; the SR map works out a state's
 rationalizable moves from the perceived product's levels the first time they
 are asked for.  The restricted game comes out of one forward search over
 int-coded triples as an int graph, which the sure solve, the almost-sure
@@ -38,8 +38,8 @@ from functools import cached_property
 from itertools import compress
 from typing import Sequence
 
-from .arena import Arena, HypergameInput, StateId
-from .product import ProductGame, label_rows
+from .arena import Arena, StateId
+from .product import ProductGame
 from .reachsolver import Index, Regions, Strategy, _attractor, _predecessors, p1_strategy
 from .speclang import Dfa
 
@@ -157,7 +157,7 @@ class Hts:
     ``q`` and ``p`` in ``dfa.states``; codes sort in ``states`` order.
     ``next1[i][j]`` / ``next2[i][j]`` is the index of the true / perceived
     automaton state after entering arena state ``i`` from automaton state
-    ``j``; they are the products' rows (:func:`product.label_rows`), so arena
+    ``j``; they are the rows of the true and the perceived product, so arena
     states with the same label share one row.  :meth:`successors` gives one
     triple's moves; the whole-space views are built on first access.
     """
@@ -232,25 +232,27 @@ def robust_winning_states(arena: Arena, dfa: Dfa, win11: Regions) -> frozenset:
     return frozenset(s for s, at in zip(arena.states, firsts) if -1 not in levels[at:at + nq])
 
 
-def build_hts(inp: HypergameInput, d: Dfa, win11: Regions) -> Hts:
+def build_hts(product_true: ProductGame, product_perceived: ProductGame, win11: Regions) -> Hts:
     """Build the HTS of the level-2 hypergame; the work is linear in ``S x Q``.
 
-    ``win11`` must be the solution of the true-labeling product of the same
-    arena and DFA.  The target collects every triple whose arena component is
-    robustly sure-winning in that product, read from its level list.  The
-    automaton rows are the products' own (:func:`product.label_rows`).
+    It joins the true- and the perceived-labeling product of one arena and
+    one DFA, reading their rows and initial states.  ``win11`` must be the
+    solution of ``product_true``; the target collects every triple whose arena
+    component is robustly sure-winning there, read from its level list.
     """
-    arena, qs = inp.arena, d.states
-    if len(win11.levels) != len(arena.states) * len(qs):
+    arena, d = product_true.arena, product_true.dfa
+    if product_perceived.arena is not arena or product_perceived.dfa is not d:
+        raise ValueError("the two products are not over one arena and one DFA")
+    if (product_true.which, product_perceived.which) != (1, 2):
+        raise ValueError("the products must be of the true (1) and perceived (2) labelings")
+    if len(win11.levels) != len(arena.states) * len(d.states):
         raise ValueError("true-product regions do not cover S x Q")
-    next1, next2 = label_rows(arena, d, 1), label_rows(arena, d, 2)
-    i0, j0 = arena.adjacency.where[arena.initial], d.index[d.initial]
     return Hts(
         arena=arena,
         dfa=d,
-        next1=next1,
-        next2=next2,
-        initial=(arena.initial, qs[next1[i0][j0]], qs[next2[i0][j0]]),
+        next1=product_true.rows,
+        next2=product_perceived.rows,
+        initial=product_true.initial + product_perceived.initial[1:],
         robust_win=robust_winning_states(arena, d, win11),
     )
 

@@ -4,13 +4,12 @@ The product is a view over ``S x Q``: it keeps the arena, the DFA and one
 automaton row per arena state, and computes a state's moves on demand.  A row
 lists, for every automaton state, the index of the state reached on the arena
 state's label; it comes from :meth:`Dfa.row`, so arena states with the same
-label, both products and the hypergame transition system share one list per
-label, and :func:`label_rows` hands the products and the HTS one list of rows
-per labeling.  :meth:`ProductGame.solve` builds the solver's predecessor index
-straight from the arena's predecessors and the rows, without the edges out of
-the seeded ``S x F``, and returns regions that keep the kernel's level list;
-the state-keyed views (``states``, ``owner``, ``transitions``, ``target``) are
-built only when something reads them.
+label and both products share one list per label; the hypergame transition
+system reads the two products' rows.  :meth:`ProductGame.solve` builds the
+solver's predecessor index straight from the arena's predecessors and the
+rows, without the edges out of the seeded ``S x F``, and returns regions that
+keep the kernel's level list; the state-keyed views (``states``, ``owner``,
+``transitions``, ``target``) are built only when something reads them.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .arena import Arena, StateId
 from .reachsolver import Regions, _attractor, _predecessors
 from .speclang import AlphabetError, Dfa, all_symbols
 
-__all__ = ["ProductGame", "build_product", "label_rows"]
+__all__ = ["ProductGame", "build_product"]
 
 ProductState = tuple  # (s, q)
 
@@ -117,20 +116,6 @@ class ProductGame:
         return Regions(_attractor((start, flat, degree), p1, seeds), self)
 
 
-def label_rows(arena: Arena, d: Dfa, which: int) -> list[list[int]]:
-    """The row of ``d`` for each arena state's label under labeling ``which``.
-
-    The arena keeps the list for the last DFA asked under each labeling, so
-    the product and the HTS over one arena and DFA share it.
-    """
-    last = arena._label_rows.get(which)
-    if last is not None and last[0] is d:
-        return last[1]
-    rows = [d.row(arena.label(s, which)) for s in arena.states]
-    arena._label_rows[which] = (d, rows)
-    return rows
-
-
 def build_product(arena: Arena, which: int, d: Dfa) -> ProductGame:
     """Build the product game of ``arena`` under labeling ``which`` with ``d``.
 
@@ -146,7 +131,7 @@ def build_product(arena: Arena, which: int, d: Dfa) -> ProductGame:
             f"DFA alphabet over AP {sorted(d.ap)} does not match arena AP {sorted(arena.ap)}"
         )
     # Entering s' consumes L(s').
-    rows = label_rows(arena, d, which)
+    rows = [d.row(arena.label(s, which)) for s in arena.states]
     i0 = arena.adjacency.where[arena.initial]
     return ProductGame(
         arena=arena,

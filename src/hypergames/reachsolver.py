@@ -22,7 +22,7 @@ min-action strategies from the same levels and successor lists, each only for
 a caller that keeps it.
 
 The almost-sure solve runs both halves of its outer rounds on the same kernel
-and index.
+and index, and decodes its levels as the sure solve does.
 """
 
 from __future__ import annotations

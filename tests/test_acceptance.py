@@ -204,7 +204,7 @@ def test_criterion_10_scaling():
     regions_perceived, _, _ = solve_reachability(
         product_perceived, product_perceived.target
     )
-    hts = build_hts(inp, dfa, regions_true)
+    hts = build_hts(product_true, product_perceived, regions_true)
     sr = build_sr_map(product_perceived, regions_perceived)
     restricted = build_restricted_game(hts, sr)
     regions, strategy = solve_deceptive_sure(restricted)

@@ -99,6 +99,18 @@ def test_dfa_cap_exit_code(capsys):
     assert main([str(SCENARIO), "--mode", "sure", "--dfa-cap", "1"]) == 3
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_bad_dfa_cap_exit_code(capsys, cap):
+    # a DFA cap below 1 is a bad argument (exit 1), not a cap exceeded (exit 3)
+    status = main([str(SCENARIO), "--mode", "sure", "--dfa-cap", cap])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.err.startswith("error: ")
+    assert "--dfa-cap must be at least 1" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_memory_error_exit_code(monkeypatch, capsys):
     # Running out of memory in synthesis is a resource cap (exit 3), not a
     # traceback; the stub raises without allocating anything.

@@ -13,9 +13,11 @@ from hypergames.hypergame import (
 from hypergames import cli, hypergame, reachsolver
 from hypergames.almostsure import build_stochastic_game, solve_asw
 from hypergames.cli import RunConfig, build_report, synthesize
-from hypergames.arena import HypergameInput
-from hypergames.speclang import parse_formula
+from hypergames.arena import HypergameInput, load_arena_file
+from hypergames.product import build_product
+from hypergames.speclang import compile_to_dfa, parse_formula
 
+from conftest import SCENARIO
 from oracles import eager_restricted_game_oracle
 from randgen import oracle_cases, product_cases, random_arena
 
@@ -147,7 +149,37 @@ class TestHts:
 
         empty = Regions(levels=[], game=running_bundle.product_true)
         with pytest.raises(ValueError, match="cover"):
-            build_hts(running_bundle.inp, running_bundle.dfa, empty)
+            build_hts(running_bundle.product_true, running_bundle.product_perceived, empty)
+
+    def test_mismatched_products_rejected(self, running_input, running_bundle):
+        true, perceived = running_bundle.product_true, running_bundle.product_perceived
+        regions = running_bundle.regions_true
+        arena, dfa = running_input.arena, running_bundle.dfa
+        other_dfa = compile_to_dfa(running_input.objective, arena.ap)
+        other_arena = load_arena_file(SCENARIO).arena
+        for pair in (
+            (perceived, true),  # swapped
+            (true, true),
+            (true, build_product(arena, 2, other_dfa)),
+            (build_product(arena, 1, other_dfa), perceived),
+            (true, build_product(other_arena, 2, dfa)),
+            (build_product(other_arena, 1, dfa), perceived),
+        ):
+            with pytest.raises(ValueError):
+                build_hts(*pair, regions)
+
+    def test_initial_triple(self, running_input):
+        # the HTS starts where the DFA's initial state goes on the initial
+        # arena state's label under each labeling
+        for inp in oracle_cases(running_input):
+            bundle = synthesize(inp)
+            arena, dfa = inp.arena, bundle.dfa
+            s0 = arena.initial
+            assert bundle.hts.initial == (
+                s0,
+                dfa.delta[(dfa.initial, arena.label(s0, 1))],
+                dfa.delta[(dfa.initial, arena.label(s0, 2))],
+            )
 
 
 class TestRestrictedGame:
@@ -186,7 +218,7 @@ class TestAgainstEagerBuild:
     def test_same_restricted_game(self, running_input, reachable_only):
         for inp in oracle_cases(running_input):
             bundle = synthesize(inp)
-            hts = build_hts(inp, bundle.dfa, bundle.regions_true)
+            hts = build_hts(bundle.product_true, bundle.product_perceived, bundle.regions_true)
             rg = build_restricted_game(hts, bundle.sr, reachable_only=reachable_only)
             # the views are built after both solves have read the int graph
             solve_deceptive_sure(rg)

@@ -108,7 +108,7 @@ class TestAgainstDictOracle:
     def test_restricted_games(self, running_input, reachable_only):
         for inp in oracle_cases(running_input):
             bundle = synthesize(inp)
-            hts = build_hts(inp, bundle.dfa, bundle.regions_true)
+            hts = build_hts(bundle.product_true, bundle.product_perceived, bundle.regions_true)
             rg = build_restricted_game(hts, bundle.sr, reachable_only=reachable_only)
             _assert_same_solution(rg, rg.target)
 
