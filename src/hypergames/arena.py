@@ -13,7 +13,8 @@ The input document is a JSON object::
     }
 
 Unlisted states default to the empty label in both labelings.  Action
-identifiers default to ``"src->dst"`` when omitted.
+identifiers are strings and default to ``"src->dst"`` when omitted; a
+number, a boolean or ``null`` is rejected.
 """
 
 from __future__ import annotations
@@ -112,8 +113,7 @@ def _require(document: Mapping[str, Any], key: str) -> Any:
 
 def _not_scalar(where: str, entry: Mapping[str, Any], keys: tuple[str, ...]) -> ArenaFormatError:
     """The error for an ``entry`` in which one of ``keys`` holds an array or
-    an object where a state id or an action name belongs; it names the first
-    such key."""
+    an object where a state id belongs; it names the first such key."""
     key = next(k for k in keys if isinstance(entry.get(k), (list, dict)))
     return ArenaFormatError(
         f"{where} {entry!r}: {key!r} must be a string or a number, not {entry[key]!r}"
@@ -239,13 +239,15 @@ def load_arena(document: Mapping[str, Any]) -> HypergameInput:
             if dst not in owner:
                 raise ArenaFormatError(f"edge to unknown state {dst!r}")
             action = entry.get("action", f"{src}->{dst}")
+            if not isinstance(action, str):
+                raise ArenaFormatError(f"edge {entry!r}: 'action' must be a string, not {action!r}")
             if action in transitions[src]:
                 raise ArenaFormatError(
                     f"nondeterminism: duplicate (state, action) pair ({src!r}, {action!r})"
                 )
             transitions[src][action] = dst
     except TypeError:
-        raise _not_scalar("edge", entry, ("from", "to", "action")) from None
+        raise _not_scalar("edge", entry, ("from", "to")) from None
     for s in states:
         if not transitions[s]:
             raise ArenaFormatError(f"state {s!r} has no enabled action; games are infinite-duration")

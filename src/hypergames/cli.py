@@ -313,7 +313,8 @@ def build_report(bundle: SynthesisBundle, config: RunConfig) -> str:
 
 
 def _dot_quote(text: str) -> str:
-    return '"' + text.replace('"', '\\"') + '"'
+    # the backslash first, so that a trailing one cannot escape the closing quote
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _node_label(v: Any) -> str:
@@ -329,7 +330,9 @@ def export_dot(graph, regions=None, path: str | Path | None = None) -> str:
     may be a :class:`Regions` (win1 filled) or a mapping with keys
     ``true_win`` / ``perceived_win`` for the two-coloring of an arena.
     Restricted-game edges removed from the HTS are drawn dashed red and
-    states unreachable from the initial state are dashed.
+    states unreachable from the initial state are dashed.  Nodes come in the
+    order of the graph's states; a restricted game's come in HTS code order,
+    whatever order its search numbered them in.
     """
     absorbing = None
     if isinstance(graph, almostsure.StochasticGame):
@@ -337,6 +340,8 @@ def export_dot(graph, regions=None, path: str | Path | None = None) -> str:
         # adversary's other states marked as chance nodes.
         graph, absorbing = graph.restricted, graph.target
     states = graph.states
+    if isinstance(graph, hypergame.RestrictedGame):
+        states = sorted(states, key=graph.hts.code)
     owner = graph.owner
     transitions = graph.transitions
     initial = graph.initial

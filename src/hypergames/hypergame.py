@@ -12,10 +12,12 @@ The HTS reads both products' rows and initial states and takes its target
 from the true product's level list; the SR map works out a state's
 rationalizable moves from the perceived product's levels the first time they
 are asked for.  The restricted game comes out of one forward search over
-int-coded triples as an int graph, which the sure solve, the almost-sure
-solve and the simulator all read; the two solves share one predecessor index
-of it, without the edges out of the target.  Its state-keyed dicts are views
-built only when something reads them.
+int-coded triples as an int graph, its states numbered in the order the
+search finds them; the sure solve, the almost-sure solve and the simulator
+all read it, and the two solves share one predecessor index of it, without
+the edges out of the target.  Nothing they compute depends on the
+numbering.  Its state-keyed dicts are views built only when something reads
+them.
 
 Two deliberate modeling choices (both match the worked example the golden
 tests pin down):
@@ -32,7 +34,6 @@ tests pin down):
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -154,10 +155,10 @@ class Hts:
 
     A triple ``(s, q, p)`` has the int code ``i·|Q|² + j·|Q| + k``, where
     ``i``, ``j`` and ``k`` are the indices of ``s`` in ``arena.states`` and of
-    ``q`` and ``p`` in ``dfa.states``; codes sort in ``states`` order.
-    ``next1[i][j]`` / ``next2[i][j]`` is the index of the true / perceived
-    automaton state after entering arena state ``i`` from automaton state
-    ``j``; they are the rows of the true and the perceived product, so arena
+    ``q`` and ``p`` in ``dfa.states``; ``states`` lists the triples in code
+    order.  ``next1[i][j]`` / ``next2[i][j]`` is the index of the true /
+    perceived automaton state after entering arena state ``i`` from automaton
+    state ``j``; they are the rows of the true and the perceived product, so arena
     states with the same label share one row.  :meth:`successors` gives one
     triple's moves; the whole-space views are built on first access.
     """
@@ -262,9 +263,10 @@ class RestrictedGame:
     """HTS with both players confined to subjectively-rationalizable actions.
 
     The game is held as an int graph over the positions ``0..n-1`` of
-    ``states``, which are sorted by their HTS code (``codes``): the kept
-    actions ``names[i]`` of position ``i`` lead to the positions ``succ[i]``,
-    ``p1[i]`` is nonzero where P1 owns it and ``at_target[i]`` where it lies in
+    ``states``, numbered in the order the building search found them, and
+    ``by_code`` maps each state's HTS code to its position: the kept actions
+    ``names[i]`` of position ``i`` lead to the positions ``succ[i]``, ``p1[i]``
+    is nonzero where P1 owns it and ``at_target[i]`` where it lies in
     ``target``.  Every solve reads this graph.  ``owner``, ``transitions`` and
     ``removed`` (the pruned moves, for inspection and graph export) are
     state-keyed views built on first access; absent entries of
@@ -275,7 +277,7 @@ class RestrictedGame:
     states: tuple[HtsState, ...]
     initial: HtsState
     target: frozenset
-    codes: list[int]
+    by_code: dict[int, int]
     succ: list[list[int]]
     names: list[tuple[str, ...]]
     p1: bytes
@@ -284,13 +286,9 @@ class RestrictedGame:
     def position(self, v: HtsState) -> int:
         """Index of ``v`` in ``states``; ``KeyError`` if it is not there."""
         try:
-            code = self.hts.code(v)
+            return self.by_code[self.hts.code(v)]
         except (KeyError, TypeError, ValueError):
             raise KeyError(v) from None
-        i = bisect_left(self.codes, code)
-        if i == len(self.codes) or self.codes[i] != code:
-            raise KeyError(v)
-        return i
 
     @cached_property
     def predecessors(self) -> Index:
@@ -315,11 +313,10 @@ class RestrictedGame:
 
     @cached_property
     def removed(self) -> dict[HtsState, dict[str, HtsState]]:
-        every = self.hts.arena.adjacency.names
-        nq2 = len(self.hts.dfa.states) ** 2
+        adj = self.hts.arena.adjacency
         out: dict[HtsState, dict[str, HtsState]] = {}
-        for v, code, kept in zip(self.states, self.codes, self.names):
-            if len(kept) < len(every[code // nq2]):
+        for v, kept in zip(self.states, self.names):
+            if len(kept) < len(adj.names[adj.where[v[0]]]):
                 moves = self.hts.successors(v).items()
                 out[v] = {a: dst for a, dst in moves if a not in kept}
         return out
@@ -331,11 +328,11 @@ def build_restricted_game(
     """Restrict the HTS to subjectively-rationalizable actions of both players.
 
     By default one forward search over HTS codes expands only the fragment
-    reachable from the initial state under the restricted dynamics;
-    ``reachable_only=False`` expands every code of ``S x Q x Q`` instead.
-    Either way the states are numbered in code order, the order of
-    ``hts.states``.  ``sr`` must be the SR map of the same arena and DFA,
-    since its kept moves are looked up by index.
+    reachable from the initial state under the restricted dynamics, and the
+    states are numbered in the order it finds them, the initial state first;
+    ``reachable_only=False`` expands every code of ``S x Q x Q`` instead, in
+    code order, the order of ``hts.states``.  ``sr`` must be the SR map of the
+    same arena and DFA, since its kept moves are looked up by index.
     """
     arena, qs = hts.arena, hts.dfa.states
     adj = arena.adjacency
@@ -345,7 +342,7 @@ def build_restricted_game(
     kept = sr.kept  # (names, successor arena indices) of the kept moves at i * |Q| + p_index
 
     order = [hts.code(hts.initial)] if reachable_only else list(range(len(arena.states) * nq2))
-    found = {code: n for n, code in enumerate(order)}  # code -> place in order
+    found = {code: n for n, code in enumerate(order)}  # code -> position
     succ: list[list[int]] = []
     names: list[tuple[str, ...]] = []
     for code in order:  # grows while the search runs
@@ -362,18 +359,10 @@ def build_restricted_game(
         succ.append(out)
         names.append(moves[0])
 
-    # Renumber from search order to code order.
-    perm = sorted(range(len(order)), key=order.__getitem__)
-    rank = [0] * len(perm)
-    for pos, n in enumerate(perm):
-        rank[n] = pos
-    for out in succ:
-        out[:] = map(rank.__getitem__, out)
-    codes = [order[n] for n in perm]
-    arena_index = [code // nq2 for code in codes]
+    arena_index = [code // nq2 for code in order]
     states = tuple(
         (arena.states[i], qs[code // nq % nq], qs[code % nq])
-        for i, code in zip(arena_index, codes)
+        for i, code in zip(arena_index, order)
     )
     robust = bytes(s in hts.robust_win for s in arena.states)
     at_target = bytes(robust[i] for i in arena_index)
@@ -382,9 +371,9 @@ def build_restricted_game(
         states=states,
         initial=hts.initial,
         target=frozenset(compress(states, at_target)),
-        codes=codes,
-        succ=[succ[n] for n in perm],
-        names=[names[n] for n in perm],
+        by_code=found,
+        succ=succ,
+        names=names,
         p1=bytes(adj.p1[i] for i in arena_index),
         at_target=at_target,
     )

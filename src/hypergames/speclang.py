@@ -491,9 +491,7 @@ def compile_to_dfa(f: Formula, ap: Iterable[str], max_states: int = 10_000) -> D
         names: dict[Formula, str] = {start: "q0"}
         order = [start]
         delta: dict[tuple[str, frozenset[str]], str] = {}
-        frontier = [start]
-        while frontier:
-            state = frontier.pop(0)
+        for state in order:  # grows while the search runs
             for sigma in symbols:
                 nxt = normalize(progress(state, sigma))
                 if nxt not in names:
@@ -503,7 +501,6 @@ def compile_to_dfa(f: Formula, ap: Iterable[str], max_states: int = 10_000) -> D
                         )
                     names[nxt] = f"q{len(names)}"
                     order.append(nxt)
-                    frontier.append(nxt)
                 delta[(names[state], sigma)] = names[nxt]
     except RecursionError:
         raise DfaSizeError("residual formulas nest too deeply to compile") from None

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypergames.arena import Arena, HypergameInput
+from hypergames.arena import Arena, HypergameInput, load_arena
 from hypergames.cli import (
     RunConfig,
     _Components,
@@ -171,8 +172,43 @@ def test_dot_bytes_pinned(running_bundle):
         (running_bundle.inp.arena, arena_regions, "running_example_arena.dot"),
         (running_bundle.stochastic, None, "running_example_stochastic.dot"),
         (full, running_bundle.sure_regions, "running_example_full_restricted.dot"),
+        (running_bundle.restricted, running_bundle.sure_regions, "running_example_sure.dot"),
     ):
         assert export_dot(graph, regions) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+_DOT_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def test_dot_quotes_backslashes_and_quotes():
+    # an id or action that ends in a backslash must not escape its closing
+    # quote, and distinct ids must stay distinct node names
+    ids = ["a\\", 'b"', 'c\\"']
+    document = {
+        "states": [{"id": s, "player": 1 + k % 2} for k, s in enumerate(ids)],
+        "init": ids[0],
+        "ap": ["A"],
+        "edges": [{"from": s, "to": d} for s in ids for d in ids] + [
+            {"from": ids[0], "to": ids[1], "action": "x\\"}
+        ],
+        "label_true": {ids[2]: ["A"]},
+        "label_perceived": {ids[1]: ["A"]},
+        "objective": {"formula": "F A"},
+    }
+    bundle = synthesize(load_arena(document))
+    for graph in (bundle.inp.arena, bundle.restricted, bundle.stochastic):
+        text = export_dot(graph)
+        # every quote opens or closes one well-formed DOT string
+        assert '"' not in _DOT_STRING.sub("", text)
+        nodes = []
+        for line in text.splitlines()[2:2 + len(graph.states)]:  # one line per node
+            name = _DOT_STRING.match(line, 2)
+            assert name and line[name.end():].startswith(" [label=" + name.group() + ",")
+            nodes.append(name.group())
+        assert len(set(nodes)) == len(nodes)
+        unquoted = {re.sub(r"\\(.)", r"\1", node[1:-1]) for node in nodes}
+        labels = {",".join(map(str, v)) if isinstance(v, tuple) else v for v in graph.states}
+        assert unquoted == labels
 
 
 REPORT_GOLDENS = [
@@ -383,6 +419,11 @@ def _with_dfa(document, **change):
         (lambda d: d["edges"][2].update({"from": [1]}), "'from'"),
         (lambda d: d["edges"][2].update({"to": {"id": 2}}), "'to'"),
         (lambda d: d["edges"][2].update(action=[1]), "'action'"),
+        # action names are strings: an int, a float or a bool is no name
+        (lambda d: d["edges"][2].update(action=1), "'action'"),
+        (lambda d: d["edges"][2].update(action=1.5), "'action'"),
+        (lambda d: d["edges"][2].update(action=True), "'action'"),
+        (lambda d: [e.update(action=k) for k, e in enumerate(d["edges"])], "'action'"),
         (lambda d: d.update(edges=5), "'edges'"),
         (lambda d: d.update(edges={"from": 0, "to": 1}), "'edges'"),
         (lambda d: d.update(objective={"dfa": []}), "objective.dfa"),

@@ -227,14 +227,25 @@ class TestAgainstEagerBuild:
             _, expected = eager_restricted_game_oracle(
                 inp, bundle.dfa, bundle.regions_true, bundle.sr, reachable_only
             )
-            assert rg.states == expected.states  # order included
+            if reachable_only:
+                # numbered in search order: the initial state first, and each
+                # later state found from an earlier one
+                assert tuple(sorted(rg.states, key=hts.code)) == expected.states
+                assert rg.states[0] == rg.initial
+                earliest = {}  # position -> smallest position of a predecessor
+                for i, out in enumerate(rg.succ):
+                    for j in out:
+                        earliest.setdefault(j, i)
+                assert all(earliest.get(n, n) < n for n in range(1, len(rg.states)))
+            else:
+                assert rg.states == expected.states  # code order
             assert rg.owner == expected.owner
             assert rg.transitions == expected.transitions
             assert rg.removed == expected.removed
             assert rg.target == expected.target
             assert rg.initial == expected.initial
             choice, chance, support = eager_stochastic_views(expected)
-            assert g.states == expected.states and g.target == expected.target
+            assert g.states == rg.states and g.target == expected.target
             assert g.choice_actions == choice
             assert g.chance_actions == chance
             assert g.support == support
