@@ -420,10 +420,14 @@ def _with_dfa(document, **change):
         (lambda d: d["edges"][2].update({"to": {"id": 2}}), "'to'"),
         (lambda d: d["edges"][2].update(action=[1]), "'action'"),
         # action names are strings: an int, a float or a bool is no name
-        (lambda d: d["edges"][2].update(action=1), "'action'"),
-        (lambda d: d["edges"][2].update(action=1.5), "'action'"),
-        (lambda d: d["edges"][2].update(action=True), "'action'"),
-        (lambda d: [e.update(action=k) for k, e in enumerate(d["edges"])], "'action'"),
+        pytest.param(lambda d: d["edges"][2].update(action=1), "'action'", id="action-int"),
+        pytest.param(lambda d: d["edges"][2].update(action=1.5), "'action'", id="action-float"),
+        pytest.param(lambda d: d["edges"][2].update(action=True), "'action'", id="action-bool"),
+        pytest.param(
+            lambda d: [e.update(action=k) for k, e in enumerate(d["edges"])],
+            "'action'",
+            id="action-all-int",
+        ),
         (lambda d: d.update(edges=5), "'edges'"),
         (lambda d: d.update(edges={"from": 0, "to": 1}), "'edges'"),
         (lambda d: d.update(objective={"dfa": []}), "objective.dfa"),
