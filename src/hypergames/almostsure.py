@@ -134,7 +134,8 @@ class AswResult:
 
     @property
     def levels(self) -> tuple[frozenset, ...]:
-        """Cumulative level sets ``Y_0 ⊆ Y_1 ⊆ ...``, derived on each access."""
+        """Cumulative level sets ``Y_0 ⊆ Y_1 ⊆ ...``, derived on each access:
+        |X*| times the depth states, quadratic on a deep game; no report reads it."""
         layers: list[list[HtsState]] = [
             [] for _ in range(max(self.level.values(), default=0) + 1)
         ]

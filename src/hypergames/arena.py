@@ -15,6 +15,10 @@ The input document is a JSON object::
 Unlisted states default to the empty label in both labelings.  Action
 identifiers are strings and default to ``"src->dst"`` when omitted; a
 number, a boolean or ``null`` is rejected.
+
+Labels name states by the text of their ids, so two ids with one text, such
+as ``9`` and ``"9"``, are rejected.  ``init`` and the edge ends name states by
+value and JSON type: ``0.0`` or ``true`` does not name the state ``0`` or ``1``.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ P1 = 1
 P2 = 2
 
 StateId = Any  # JSON scalar (int or str)
+
+_TYPED = " (ids match by value and JSON type, so 0.0 is not 0 and true is not 1)"
 
 
 class ArenaFormatError(ValueError):
@@ -215,10 +221,14 @@ def load_arena(document: Mapping[str, Any]) -> HypergameInput:
     except TypeError:
         raise _not_scalar("state", entry, ("id",)) from None
     by_repr = {str(s): s for s in states}
+    if len(by_repr) < len(states):  # of two ids with one text, the later is kept
+        s = next(s for s in states if by_repr[str(s)] is not s)
+        raise ArenaFormatError(f"state ids {s!r} and {by_repr[str(s)]!r} have the same label key")
+    kind = {s: type(s) for s in states}  # references match ids by value and type
 
     init = _require(document, "init")
-    if isinstance(init, (list, dict)) or init not in owner:
-        raise ArenaFormatError(f"initial state 'init' {init!r} is not a declared state")
+    if isinstance(init, (list, dict)) or kind.get(init) is not type(init):
+        raise ArenaFormatError(f"initial state 'init' {init!r} is not a declared state{_TYPED}")
 
     raw_ap = _require(document, "ap")
     if not isinstance(raw_ap, list) or not all(isinstance(p, str) for p in raw_ap):
@@ -234,10 +244,10 @@ def load_arena(document: Mapping[str, Any]) -> HypergameInput:
             if not isinstance(entry, Mapping) or "from" not in entry or "to" not in entry:
                 raise ArenaFormatError(f"bad edge entry {entry!r}; need {{from, to}}")
             src, dst = entry["from"], entry["to"]
-            if src not in owner:
-                raise ArenaFormatError(f"edge from unknown state {src!r}")
-            if dst not in owner:
-                raise ArenaFormatError(f"edge to unknown state {dst!r}")
+            if kind.get(src) is not type(src):
+                raise ArenaFormatError(f"edge 'from' names unknown state {src!r}{_TYPED}")
+            if kind.get(dst) is not type(dst):
+                raise ArenaFormatError(f"edge 'to' names unknown state {dst!r}{_TYPED}")
             action = entry.get("action", f"{src}->{dst}")
             if not isinstance(action, str):
                 raise ArenaFormatError(f"edge {entry!r}: 'action' must be a string, not {action!r}")

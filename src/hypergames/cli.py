@@ -8,7 +8,8 @@ Modes
 ``sure``
     Stealthy deceptive sure-winning region and strategy.
 ``asw``
-    Almost-sure region with the inner level sets and strategy.
+    Almost-sure region X*, each state's level and the strategy; the level set
+    ``Y_i`` is the states of level at most ``i``.
 ``simulate``
     Monte-Carlo validation of the almost-sure strategy from the initial state.
 ``verify``
@@ -18,8 +19,8 @@ Modes
 The ``perceptual``, ``sure`` and ``asw`` reports are streamed: rendered in
 pieces, each state's text joined once, and written to ``--out`` or stdout as
 they come, byte for byte what ``json.dumps(report, indent=2, sort_keys=True)``
-would write.  ``simulate`` and ``verify`` dump their few fields with
-``json.dumps``.
+would write; each is linear in the states it lists.  ``simulate`` and
+``verify`` dump their few fields with ``json.dumps``.
 
 Exit codes: 0 success, 1 input/schema error (or an ``--out`` or ``--dot`` path
 that cannot be written), 2 verification failure, 3 resource cap exceeded.
@@ -163,8 +164,9 @@ class _Components(dict):
 
     That is exact because a report's states come from one arena, whose ids
     are distinct as dict keys, and one DFA, whose state names are strings.
-    Action names are not memoised here: the action ``true`` and the id ``1``
-    are equal as keys but encode differently.
+    Row values, levels and action names, have their own instance per mapping:
+    the action ``true`` and the id ``1`` are equal as keys but encode
+    differently.
     """
 
     def __missing__(self, c: Any) -> str:
@@ -220,44 +222,27 @@ def _object(fields: dict[str, str | Iterable[str]], depth: int) -> Iterator[str]
     yield _pad(depth) + "}"
 
 
-def _strategy(strategy: Strategy, encodings: _Components) -> str:
-    """A strategy as a top-level field: a ``{"action", "state"}`` object per
-    state, in the states' order."""
-    rows = sorted(zip(_texts(strategy, 3, encodings), map(_encode, strategy.values())))
-    pad, close = _pad(3), _pad(2) + "}"
-    return _array(
-        ["{" + pad + '"action": ' + a + "," + pad + '"state": ' + s + close for s, a in rows], 1
-    )
-
-
-def _levels(ranked: list[tuple[str, int]]) -> Iterator[str]:
-    """The pieces of the cumulative level sets ``Y_0 ⊆ Y_1 ⊆ ...`` as a top-level
-    field, one level a piece.
-
-    ``ranked`` pairs each state of X* with its level, its text laid out at
-    nesting 2, in text order.  Level ``i`` lists, in that order, the states of
-    level at most ``i``, so the whole quadratic text is never held at once.
-    """
-    texts = [text.replace("\n", _pad(1)) for text, _ in ranked]  # one level deeper
-    layers: list[list[int]] = [[] for _ in range(max((lv for _, lv in ranked), default=0) + 1)]
-    for rank, (_, lv) in enumerate(ranked):
-        layers[lv].append(rank)
-    shown = [False] * len(texts)
-    opening = "["
-    for layer in layers:
-        for rank in layer:
-            shown[rank] = True
-        yield opening + _pad(2) + _array(compress(texts, shown), 2)
-        opening = ","
-    yield _pad(1) + "]"
+def _rows(mapping: dict, key: str, encodings: _Components) -> Iterator[str]:
+    """The pieces of a mapping from states as a top-level field: a
+    ``{key: value, "state": state}`` object per state, in the states' order,
+    one object a piece.  ``key`` must sort before ``"state"``."""
+    pad = _pad(3)
+    head, tail, close = "{" + pad + _encode(key) + ": ", "," + pad + '"state": ', _pad(2) + "}"
+    values = _Components()  # exact: the values are all int levels or all string actions
+    opening, sep = "[" + _pad(2), "," + _pad(2)
+    for state, value in sorted(zip(_texts(mapping, 3, encodings), mapping.values())):
+        yield f"{opening}{head}{values[value]}{tail}{state}{close}"
+        opening = sep
+    yield _pad(1) + "]" if mapping else "[]"
 
 
 def report_pieces(bundle: SynthesisBundle, mode: str) -> Iterator[str]:
     """The report of a region mode (``perceptual``, ``sure`` or ``asw``) in pieces.
 
     Joined, they are the report's ``json.dumps(..., indent=2, sort_keys=True)``
-    text, with every array of states in the order of their compact JSON texts
-    (see :func:`_texts`).  The level sets of ``asw`` come one level a piece.
+    text, with every array of states, and every array of strategy or level
+    rows, in the order of their states' compact JSON texts (see :func:`_texts`).
+    Rows come one a piece.
     """
     encodings = _Components()
 
@@ -285,15 +270,13 @@ def report_pieces(bundle: SynthesisBundle, mode: str) -> Iterator[str]:
         fields = {
             "target": states(bundle.restricted.target, 1),
             "region": states(bundle.sure_regions.win1, 1),
-            "strategy": _strategy(bundle.sure_strategy, encodings),
+            "strategy": _rows(bundle.sure_strategy, "action", encodings),
         }
     elif mode == "asw":
-        level = bundle.asw.level  # its keys are exactly X*
-        ranked = sorted(zip(_texts(level, 2, encodings), level.values()))
         fields = {
-            "x_star": _array([text for text, _ in ranked], 1),
-            "levels": _levels(ranked),
-            "strategy": _strategy(bundle.asw.strategy, encodings),
+            "x_star": states(bundle.asw.x_star, 1),
+            "level": _rows(bundle.asw.level, "level", encodings),  # its keys are exactly X*
+            "strategy": _rows(bundle.asw.strategy, "action", encodings),
         }
     else:
         raise ValueError(f"no report for mode {mode!r}")

@@ -559,10 +559,12 @@ def _sorted_states(states, key) -> list:
     return sorted((list(v) if isinstance(v, tuple) else v for v in states), key=key)
 
 
-def _strategy_rows(strategy, key) -> list[dict]:
+def _rows(mapping, field: str, key) -> list[dict]:
+    """A ``{field: value, "state": state}`` row per item of ``mapping``, sorted
+    by the states' compact JSON texts."""
     rows = [
-        {"state": list(v) if isinstance(v, tuple) else v, "action": a}
-        for v, a in strategy.items()
+        {"state": list(v) if isinstance(v, tuple) else v, field: value}
+        for v, value in mapping.items()
     ]
     return sorted(rows, key=lambda row: key(row["state"]))
 
@@ -605,13 +607,13 @@ def report_oracle(bundle, mode: str) -> dict:
             "mode": mode,
             "target": states(bundle.restricted.target),
             "region": states(bundle.sure_regions.win1),
-            "strategy": _strategy_rows(bundle.sure_strategy, order),
+            "strategy": _rows(bundle.sure_strategy, "action", order),
         }
     if mode == "asw":
         return {
             "mode": mode,
             "x_star": states(bundle.asw.x_star),
-            "levels": [states(level) for level in bundle.asw.levels],
-            "strategy": _strategy_rows(bundle.asw.strategy, order),
+            "level": _rows(bundle.asw.level, "level", order),
+            "strategy": _rows(bundle.asw.strategy, "action", order),
         }
     raise ValueError(f"no report for mode {mode!r}")

@@ -4,7 +4,6 @@ import json
 import random
 import re
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -29,6 +28,7 @@ from hypergames.speclang import parse_formula
 from conftest import SCENARIO
 from oracles import attractor_oracle, report_oracle
 from randgen import corridor_input, random_arena, random_dfa
+from test_acceptance import GOLDEN_LEVEL_DELTAS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -61,8 +61,14 @@ def test_perceptual_report_stdout(capsys):
 def test_asw_report(capsys):
     assert main([str(SCENARIO), "--mode", "asw"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["levels"][0] == [[5, "q1", "q0"], [6, "q1", "q0"], [7, "q1", "q0"]]
-    assert len(report["levels"]) == 4
+    assert sorted(report) == ["level", "mode", "strategy", "x_star"]
+    assert [row["state"] for row in report["level"]] == report["x_star"]
+    # each cumulative level set Y_i is the states of level at most i
+    assert max(row["level"] for row in report["level"]) == len(GOLDEN_LEVEL_DELTAS) - 1
+    expected = set()
+    for i, delta in enumerate(GOLDEN_LEVEL_DELTAS):
+        expected |= delta
+        assert {tuple(row["state"]) for row in report["level"] if row["level"] <= i} == expected
     assert len(report["x_star"]) == 7
     assert report["strategy"] == [{"state": [0, "q0", "q0"], "action": "0->1"}]
 
@@ -238,6 +244,30 @@ def test_report_bytes_pinned(tmp_path, scenario, name, mode, extra, status):
     assert out.read_bytes() == (GOLDEN / f"{name}_{mode}.json").read_bytes()
 
 
+# Each of these shuffles puts the running example's edge 1 -> 4 before 1 -> 0,
+# the one adversary choice its verify and simulate reports depend on; seeds
+# 0, 1 and 2 keep those two edges in file order.
+@pytest.mark.parametrize("seed", [3, 4, 5])
+@pytest.mark.parametrize(
+    "scenario, name, mode, extra, status",
+    REPORT_GOLDENS,
+    ids=[f"{name}-{mode}" for _, name, mode, _, _ in REPORT_GOLDENS],
+)
+def test_reports_ignore_document_order(tmp_path, scenario, name, mode, extra, status, seed):
+    # The state and edge order of a document numbers the arena, the products
+    # and the restricted game; no report may depend on that numbering.  DOT
+    # is left out: it lists nodes in arena order.
+    document = json.loads(Path(scenario).read_text())
+    rng = random.Random(seed)
+    rng.shuffle(document["states"])
+    rng.shuffle(document["edges"])
+    shuffled = tmp_path / "shuffled.json"
+    shuffled.write_text(json.dumps(document))
+    out = tmp_path / "report.json"
+    assert main([str(shuffled), "--mode", mode, *extra, "--out", str(out)]) == status
+    assert out.read_bytes() == (GOLDEN / f"{name}_{mode}.json").read_bytes()
+
+
 # numbers that prefix one another, strings with quotes, a comma, a backslash,
 # non-ASCII and nothing at all
 TRICKY_IDS = [
@@ -303,23 +333,17 @@ def test_report_matches_dict_oracle(ids):
     assert strategy_rows > 0
 
 
-def test_asw_report_is_streamed(tmp_path):
-    # The corridor's level sets are quadratic: 600 levels of up to 600 states.
-    # Written in pieces, the report never holds more than a small share of
-    # its bytes; dumping it as one dict holds all of them and more.
-    bundle = synthesize(corridor_input(600))
-    assert len(bundle.asw.x_star) == 600
-    out = tmp_path / "asw.json"
-    tracemalloc.start()
-    try:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.writelines(report_pieces(bundle, "asw"))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    written = out.stat().st_size
-    assert written > 5_000_000
-    assert peak < written / 4
+def test_asw_report_is_linear():
+    # The corridor is won in n - 1 levels, so its cumulative level sets hold
+    # about n * n / 2 states; one level row per state of X* keeps the report
+    # linear in |X*|, and each row is a piece of its own.
+    for n in (600, 2000):
+        bundle = synthesize(corridor_input(n))
+        assert len(bundle.asw.x_star) == n
+        assert len(bundle.asw.levels) == n - 1
+        pieces = list(report_pieces(bundle, "asw"))
+        assert len(pieces) > n
+        assert len("".join(pieces).encode()) < 300 * n
 
 
 def test_unbounded_residuals_exit_code(tmp_path, capsys):
@@ -428,6 +452,16 @@ def _with_dfa(document, **change):
             "'action'",
             id="action-all-int",
         ),
+        # labels name states by the text of their ids; init and edge ends by
+        # value and JSON type, where Python has 0.0 == 0 and True == 1
+        pytest.param(
+            lambda d: d["states"].append({"id": "5", "player": 1}),
+            "5 and '5'",
+            id="ids-same-text",
+        ),
+        pytest.param(lambda d: d.update(init=0.0), "'init'", id="init-float"),
+        pytest.param(lambda d: d["edges"][0].update({"to": True}), "'to'", id="to-bool"),
+        pytest.param(lambda d: d["edges"][2].update({"from": 1.0}), "'from'", id="from-float"),
         (lambda d: d.update(edges=5), "'edges'"),
         (lambda d: d.update(edges={"from": 0, "to": 1}), "'edges'"),
         (lambda d: d.update(objective={"dfa": []}), "objective.dfa"),
