@@ -24,6 +24,11 @@ golden=tests/golden
 diff "$golden/running_example_simulate.json" "$out/simulate.json"
 "$@" "$example" --mode simulate --trials 200 --cap 5 > "$out/simulate-cap5.json"
 diff "$golden/running_example_cap5_simulate.json" "$out/simulate-cap5.json"
+corridor=$golden/generated_corridor.json
+"$@" "$corridor" --mode simulate --trials 200 > "$out/corridor-simulate.json"
+diff "$golden/generated_corridor_simulate.json" "$out/corridor-simulate.json"
+"$@" "$corridor" --mode simulate --trials 200 --cap 197 > "$out/corridor-simulate-cap197.json"
+diff "$golden/generated_corridor_cap197_simulate.json" "$out/corridor-simulate-cap197.json"
 for mode in sure asw perceptual; do
   "$@" "$example" --mode "$mode" > "$out/$mode.json"
   diff "$golden/running_example_$mode.json" "$out/$mode.json"

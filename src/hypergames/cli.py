@@ -301,8 +301,14 @@ def _dot_quote(text: str) -> str:
 
 
 def _node_label(v: Any) -> str:
+    # A tuple's parts joined by commas, each part that holds a comma or a
+    # quote written as its JSON string, so that no two tuples share a label.
     if isinstance(v, tuple):
-        return ",".join(str(part) for part in v)
+        parts = (str(part) for part in v)
+        return ",".join(
+            json.dumps(part, ensure_ascii=False) if "," in part or '"' in part else part
+            for part in parts
+        )
     return str(v)
 
 

@@ -9,9 +9,12 @@
   walk over positions of the restricted game's int graph that records no
   trace: a position's move is worked out the first time a trial reaches it,
   together with one static stealth bit for P1's move there, and reused by
-  every later trial of the call.  Each trial's random stream is derived
-  solely from ``(seed, trial index)``, so runs are reproducible regardless of
-  ordering.
+  every later trial of the call.  A run of fixed moves (P1's, and the
+  adversary's where she has one rationalizable action) is worked out whole
+  when a trial enters it, and later trials jump over it, so a trial costs
+  one step per draw and per run it enters, not one per move.  Each trial's
+  random stream is derived solely from ``(seed, trial index)``, so runs are
+  reproducible regardless of ordering.
 * :func:`audit_stealth` checks a single trace against the rationalizable
   action sets; it is the stealth oracle for plays recorded elsewhere.
 
@@ -274,51 +277,95 @@ def _walker(
     or ``cap`` moves and returns ``(end position, moves made, stealthy)``.
     The adversary draws from her actions in sorted name order on the
     SplitMix64 stream seeded with ``key``, one output per draw (the module
-    docstring gives the rule), stepped inline on a local int.  Each
-    position's move is worked out on the first visit and kept for every later
-    trial of this walker, in a memo that grows only with the positions
-    reached.  A strategy action that is not available, or a dead end, raises
-    ``ValueError`` there.
+    docstring gives the rule), stepped inline on a local int.
+
+    Each position's move is worked out on the first visit and kept for every
+    later trial of this walker.  A position whose move is fixed (P1's, or an
+    adversary's with one move) starts a run: the fixed moves that follow it,
+    learnt at once, up to a target position, a draw, a position learnt
+    before, the run's own path or the trial's cap, so that the memo grows
+    only with the positions trials reach.  Every position of a run with two
+    or more moves left keeps a jump to the run's end, which a trial takes
+    whole when it fits before ``cap`` and otherwise by its first move, so
+    that a trial costs one step per draw and per run it enters, not one per
+    move (path compression, Tarjan 1975).  A strategy action that is not
+    available, or a dead end, raises ``ValueError`` when a trial reaches it
+    within its cap.
     """
     states, succ, names, p1, at_target = rg.states, rg.succ, rg.names, rg.p1, rg.at_target
-    owner = sr.product2.arena.owner
-    # moves[i], set when position i is first reached: an int where the move
-    # is fixed, complemented (~j) when it is P1's and his action there is not
-    # rationalizable in his perception; at an adversary position with two or
-    # more moves, the successors in the sorted order of their actions, whose
-    # names ordered[i] keeps for ``weights``.
-    moves: dict[int, int | tuple[int, ...]] = {}
+    # moves[i], set when position i is learnt: an int where the move is
+    # fixed, complemented (~j) when it is P1's and his action there is not
+    # rationalizable in his perception; where two or more fixed moves follow,
+    # a jump (end position, number of moves, stealthy, the int of the first
+    # move); at an adversary position with two or more moves, the list of
+    # successors in the sorted order of their actions, whose names
+    # ordered[i] keeps for ``weights``.
+    moves: dict[int, int | tuple[int, int, bool, int] | list[int]] = {}
     ordered: dict[int, tuple[str, ...]] = {}
 
-    def learn(i: int):
+    def move_at(i: int) -> int | list[int]:
         here = names[i]
         if p1[i]:
             state = states[i]
             action = _p1_move(state, here, strat)
             move = succ[i][here.index(action)]
             s, _q, p = state
-            if owner[s] == 1 and action not in sr.owner_actions(s, p):
+            if action not in sr.owner_actions(s, p):
                 move = ~move
-        elif not here:
+            return move
+        if not here:
             raise ValueError(f"adversary state {states[i]!r} has no moves")
-        elif len(here) == 1:
-            move = succ[i][0]
-        else:
-            rank = sorted(range(len(here)), key=here.__getitem__)
-            move = tuple(succ[i][k] for k in rank)
-            ordered[i] = tuple(here[k] for k in rank)
-        moves[i] = move
-        return move
+        if len(here) == 1:
+            return succ[i][0]
+        rank = sorted(range(len(here)), key=here.__getitem__)
+        ordered[i] = tuple(here[k] for k in rank)
+        return [succ[i][k] for k in rank]
+
+    def learn(i: int, budget: int):
+        move = moves[i] = move_at(i)
+        if move.__class__ is not int:
+            return move
+        # the run of fixed moves from i, in order, up to its end j; a
+        # position already in moves is learnt before or on the run's path.
+        # The trial reaches every position of the run within its cap, so
+        # one whose move cannot be worked out raises as it would there.
+        run = [i]
+        j = ~move if move < 0 else move
+        while len(run) < budget and not at_target[j] and j not in moves:
+            move = moves[j] = move_at(j)
+            if move.__class__ is not int:
+                break
+            run.append(j)
+            j = ~move if move < 0 else move
+        length = 0
+        stealthy = True
+        for k in reversed(run):
+            move = moves[k]
+            length += 1
+            stealthy = stealthy and move >= 0
+            if length > 1:
+                moves[k] = (j, length, stealthy, move)
+        return moves[i]
 
     def walk(i: int, cap: int, key: int) -> tuple[int, int, bool]:
         stealthy = True
-        for step in range(cap):
+        step = 0
+        while step < cap:
             if at_target[i]:
                 return i, step, stealthy
             try:
                 move = moves[i]
             except KeyError:
-                move = learn(i)
+                move = learn(i, cap - step)
+            if move.__class__ is tuple:
+                end, length, clean, move = move
+                if step + length <= cap:
+                    i = end
+                    step += length
+                    stealthy = stealthy and clean
+                    continue
+                # the run does not fit before the cap: its first move only
+            step += 1
             if move.__class__ is int:
                 if move < 0:
                     stealthy = False

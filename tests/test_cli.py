@@ -31,6 +31,7 @@ from randgen import corridor_input, random_arena, random_dfa
 from test_acceptance import GOLDEN_LEVEL_DELTAS
 
 GOLDEN = Path(__file__).parent / "golden"
+CORRIDOR = GOLDEN / "generated_corridor.json"  # corridor_input(200)
 
 GOLDEN_SURE_ROWS = [
     [4, "q0", "q0"],
@@ -213,8 +214,45 @@ def test_dot_quotes_backslashes_and_quotes():
             nodes.append(name.group())
         assert len(set(nodes)) == len(nodes)
         unquoted = {re.sub(r"\\(.)", r"\1", node[1:-1]) for node in nodes}
-        labels = {",".join(map(str, v)) if isinstance(v, tuple) else v for v in graph.states}
+        labels = {_tuple_label(v) if isinstance(v, tuple) else v for v in graph.states}
         assert unquoted == labels
+
+
+def _tuple_label(v):
+    # the parts joined by commas, a part with a comma or a quote as its JSON string
+    parts = map(str, v)
+    return ",".join(json.dumps(p, ensure_ascii=False) if "," in p or '"' in p else p for p in parts)
+
+
+def test_dot_tuple_parts_with_commas_stay_apart():
+    # joined with bare commas, ("x", "a,b", "a,b") and ("x,a", "b", "a,b")
+    # would both be the node x,a,b,a,b
+    document = {
+        "states": [{"id": "x", "player": 1}, {"id": "x,a", "player": 2}],
+        "init": "x",
+        "ap": ["g"],
+        "edges": [
+            {"from": "x", "to": "x,a"}, {"from": "x", "to": "x"}, {"from": "x,a", "to": "x,a"}
+        ],
+        "label_true": {"x,a": ["g"]},
+        "label_perceived": {},
+        "objective": {"dfa": {
+            "states": ["a", "b", "a,b"],
+            "initial": "a",
+            "accepting": ["b"],
+            "transitions": [
+                {"from": q, "symbol": symbol, "to": "b" if symbol or q == "b" else "a,b"}
+                for q in ("a", "b", "a,b")
+                for symbol in ([], ["g"])
+            ],
+        }},
+    }
+    bundle = synthesize(load_arena(document))
+    assert set(bundle.restricted.states) == {("x", "a,b", "a,b"), ("x,a", "b", "a,b")}
+    for graph in (bundle.restricted, bundle.stochastic):
+        lines = export_dot(graph).splitlines()
+        nodes = [_DOT_STRING.match(line, 2).group() for line in lines[2:4]]
+        assert nodes == [r'"x,\"a,b\",\"a,b\""', r'"\"x,a\",b,\"a,b\""']
 
 
 REPORT_GOLDENS = [
@@ -225,6 +263,10 @@ REPORT_GOLDENS = [
     (SCENARIO, "running_example", "simulate", ["--trials", "200"], 0),
     # wins 139 of 200, so the bytes depend on every trial's draws
     (SCENARIO, "running_example_cap5", "simulate", ["--trials", "200", "--cap", "5"], 0),
+    # the 200-state corridor: every trial walks its 198-move chain to the
+    # target, and one move short of it every trial is lost by the cap
+    (CORRIDOR, "generated_corridor", "simulate", ["--trials", "200"], 0),
+    (CORRIDOR, "generated_corridor_cap197", "simulate", ["--trials", "200", "--cap", "197"], 0),
 ] + [
     (GOLDEN / f"generated_{ids}_ids.json", f"generated_{ids}_ids", mode, [], 0)
     for ids in ("int", "str")  # 15 int ids; string ids with quotes, a backslash and non-ASCII
@@ -266,6 +308,62 @@ def test_reports_ignore_document_order(tmp_path, scenario, name, mode, extra, st
     out = tmp_path / "report.json"
     assert main([str(shuffled), "--mode", mode, *extra, "--out", str(out)]) == status
     assert out.read_bytes() == (GOLDEN / f"{name}_{mode}.json").read_bytes()
+
+
+# P1's state 0 has two actions that both lead one level down, to adversary
+# states that reach the goal 3 by "on" or escape to the trap 4 by "off";
+# escaping looks irrational to her, as the trap carries the perceived "a"
+# only.  "up" comes first in the document, so a first-found tie-break would
+# pick it over "down".
+_TIE_DOCUMENT = {
+    "states": [{"id": i, "player": 1 if i in (0, 4) else 2} for i in range(5)],
+    "init": 0,
+    "ap": ["a"],
+    "edges": [
+        {"from": 0, "to": 1, "action": "up"},
+        {"from": 0, "to": 2, "action": "down"},
+        {"from": 1, "to": 3, "action": "on"},
+        {"from": 1, "to": 4, "action": "off"},
+        {"from": 2, "to": 3, "action": "on"},
+        {"from": 2, "to": 4, "action": "off"},
+        {"from": 3, "to": 3, "action": "stay"},
+        {"from": 4, "to": 4, "action": "stay"},
+    ],
+    "label_true": {"3": ["a"]},
+    "label_perceived": {"4": ["a"]},
+    "objective": {"formula": "F a"},
+}
+
+
+def test_tie_break_ignores_edge_order(tmp_path):
+    # the sure and asw strategies take the smallest descending action, so
+    # neither they nor the reports depend on the order of the edges
+    def outcome(document):
+        path = tmp_path / "tie.json"
+        path.write_text(json.dumps(document))
+        bundle = synthesize(load_arena(document))
+        out = tmp_path / "report.json"
+        reports = []
+        for mode in ("sure", "asw"):
+            assert main([str(path), "--mode", mode, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        first = [e["action"] for e in document["edges"] if e["from"] == 0]
+        return bundle.sure_strategy, bundle.asw.strategy, reports, first
+
+    sure, asw, reports, first = outcome(_TIE_DOCUMENT)
+    (start,) = (v for v in sure if v[0] == 0)
+    assert sure[start] == asw[start] == "down"
+    bundle = synthesize(load_arena(_TIE_DOCUMENT))
+    rg, level = bundle.restricted, bundle.asw.level
+    assert [level[rg.states[j]] for j in rg.succ[rg.position(start)]] == [level[start] - 1] * 2
+    orders = {tuple(first)}
+    for seed in (0, 1, 2):
+        document = json.loads(json.dumps(_TIE_DOCUMENT))
+        random.Random(seed).shuffle(document["edges"])
+        shuffled = outcome(document)
+        assert shuffled[:3] == (sure, asw, reports)
+        orders.add(tuple(shuffled[3]))
+    assert orders == {("up", "down"), ("down", "up")}
 
 
 # numbers that prefix one another, strings with quotes, a comma, a backslash,

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from hypergames.arena import HypergameInput
+from hypergames.arena import Arena, HypergameInput
 from hypergames.cli import synthesize
 from hypergames.simulate import (
     Trace,
@@ -16,6 +16,7 @@ from hypergames.simulate import (
     simulate_asw,
     verify_sure,
 )
+from hypergames.speclang import parse_formula
 
 from oracles import (
     TrialStream,
@@ -153,23 +154,25 @@ class TestSimulateAsw:
         assert _trial_key(0, 1) != _trial_key(0, 2)
 
     def test_call_allocates_with_the_positions_reached(self):
-        # one trial from one move before the target learns one position; the
-        # call's allocation must not grow with the 4000-state game
+        # one trial from one move before the target learns one position, and
+        # one from the start with a cap of 10 learns at most 10 of the chain;
+        # the call's allocation must not grow with the 4000-state game
         bundle = synthesize(corridor_input(4000))
         rg = bundle.restricted
-        start = next(
+        near = next(
             v for i, v in enumerate(rg.states)
             if not rg.at_target[i] and any(rg.at_target[j] for j in rg.succ[i])
         )
-        args = (bundle.stochastic, bundle.asw.strategy, start, 1, 10, 0, bundle.sr)
-        tracemalloc.start()
-        try:
-            stats = simulate_asw(*args)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert stats.wins == 1
-        assert peak < 8 * 1024
+        for start, wins in ((near, 1), (rg.initial, 0)):
+            args = (bundle.stochastic, bundle.asw.strategy, start, 1, 10, 0, bundle.sr)
+            tracemalloc.start()
+            try:
+                stats = simulate_asw(*args)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert stats.wins == wins
+            assert peak < 8 * 1024
 
     def test_zero_trials(self, running_bundle):
         g = running_bundle.stochastic
@@ -355,6 +358,209 @@ class TestTrialAgainstDictWalk:
         for bad in ((9, "q0", "q0"), (0, "q9", "q0"), (2, "q0", "q1"), "junk"):
             with pytest.raises(KeyError):
                 simulate_asw(g, {}, bad, trials=1, cap=5, seed=0, sr=running_bundle.sr)
+
+
+def _with_moves(inp, moves):
+    """``inp`` with the arena states in ``moves`` given those moves instead."""
+    arena = inp.arena
+    return replace(inp, arena=replace(arena, transitions={**arena.transitions, **moves}))
+
+
+def _chain(rg):
+    """The positions of the restricted game's one play from its initial
+    position, up to its first target position, where every move is fixed."""
+    chain = [rg.position(rg.initial)]
+    while not rg.at_target[chain[-1]]:
+        (successor,) = rg.succ[chain[-1]]
+        chain.append(successor)
+    return chain
+
+
+def _cycle_input():
+    """P1's fixed moves 0 -> 1 -> 2 -> 3 -> 4 -> 1, with 3 the adversary's
+    one move, in a game whose goal 5 no play reaches: X* is empty, and at 2
+    P1 plays the smaller of ``2->3`` and ``2->9``, which goes back to 0."""
+    arena = Arena(
+        states=(0, 1, 2, 3, 4, 5),
+        owner={0: 1, 1: 1, 2: 1, 3: 2, 4: 1, 5: 2},
+        transitions={
+            0: {"0->1": 1}, 1: {"1->2": 2}, 2: {"2->9": 0, "2->3": 3},
+            3: {"3->4": 4}, 4: {"4->1": 1}, 5: {"5->5": 5},
+        },
+        initial=0,
+        ap=frozenset({"a"}),
+        label_true={5: frozenset({"a"})},
+        label_perceived={5: frozenset({"a"})},
+    )
+    formula = parse_formula("F a", arena.ap)
+    return HypergameInput(arena=arena, objective=formula, objective_text="F a")
+
+
+def _ladder_input():
+    """``corridor_input(60)`` where every tenth adversary position, from 5
+    on, may also send the play five positions back: runs of fixed moves
+    between draws, entered at their start and in their middle."""
+    inp = corridor_input(60)
+    moves = inp.arena.transitions
+    return _with_moves(inp, {i: {**moves[i], f"{i}->{i - 5}": i - 5} for i in range(5, 59, 10)})
+
+
+def _learnt_id(learnt):
+    return "fresh" if learnt is None else "from{}-cap{}".format(*learnt)
+
+
+@pytest.fixture(scope="module")
+def corridor200():
+    return synthesize(corridor_input(200))
+
+
+class TestRunsOfFixedMoves:
+    """The walker learns a run of fixed moves at once and later trials jump
+    over it; every trial must still end as the move-by-move walk over the
+    stochastic game's dicts ends."""
+
+    @staticmethod
+    def _check(bundle, walk, start, cap, key=0, strat=None, sr=None, weights=None):
+        strat = bundle.asw.strategy if strat is None else strat
+        sr = bundle.sr if sr is None else sr
+        rg = bundle.restricted
+        trace = dict_trial_oracle(bundle.stochastic, strat, rg.states[start], cap, key, weights)
+        got = walk(start, cap, key)
+        assert got == _oracle_outcome(rg, trace, sr)
+        return got
+
+    @pytest.mark.parametrize(
+        "learnt", [None, (0, 500), (60, 500), (150, 500), (0, 30), (45, 20)], ids=_learnt_id
+    )
+    def test_cap_around_a_run(self, corridor200, learnt):
+        # from the start and from the middle of the 198-move chain, a cap one
+        # short of the run's length L loses with L - 1 moves, and L or L + 1
+        # wins with L; the walker has first learnt nothing, or what a trial
+        # from a position of the chain with a cap learnt
+        bundle = corridor200
+        rg = bundle.restricted
+        chain = _chain(rg)
+        assert len(chain) == 199
+        for p in (0, 1, 59, 60, 61, 150, 196):
+            length = len(chain) - 1 - p
+            for cap in (length - 1, length, length + 1):
+                walk = _walker(rg, bundle.asw.strategy, bundle.sr, None)
+                if learnt is not None:
+                    walk(chain[learnt[0]], learnt[1], 0)
+                for _ in range(2):  # learning, then from the memo
+                    end, moves, stealthy = self._check(bundle, walk, chain[p], cap)
+                    assert moves == min(cap, length) and stealthy
+                    assert bool(rg.at_target[end]) == (cap >= length)
+
+    def test_corridor_cap_one_short_loses_every_trial(self, corridor200):
+        g, strat, sr = corridor200.stochastic, corridor200.asw.strategy, corridor200.sr
+        assert simulate_asw(g, strat, g.initial, 50, 197, 0, sr).losses_by_cap == 50
+        assert simulate_asw(g, strat, g.initial, 50, 198, 0, sr).wins == 50
+
+    @pytest.mark.parametrize(
+        "dropped", [(), ("4->1",), ("0->1", "2->3")], ids=["none", "4->1", "0->1,2->3"]
+    )
+    def test_cycle_ends_by_cap(self, dropped):
+        # the run from 0 closes on itself at 1; every trial ends by the cap,
+        # at the position, move count and stealth verdict of the plain walk
+        bundle = synthesize(_cycle_input())
+        rg = bundle.restricted
+        assert not bundle.asw.x_star and len(rg.states) == 5
+        sr = _DroppingSr(bundle.sr, dropped)
+        learnt = _walker(rg, bundle.asw.strategy, sr, None)
+        learnt(0, 13, 0)
+        for start in range(5):
+            for cap in range(1, 14):
+                fresh = _walker(rg, bundle.asw.strategy, sr, None)
+                for walk in (fresh, fresh, learnt):
+                    end, moves, stealthy = self._check(bundle, walk, start, cap, sr=sr)
+                    assert moves == cap
+
+    def test_unavailable_action_past_the_cap(self, corridor200):
+        # the run learnt from the start stops before the bad position, and
+        # only a trial that reaches it within its cap raises
+        rg = corridor200.restricted
+        chain = _chain(rg)
+        strat = dict(corridor200.asw.strategy)
+        strat[rg.states[chain[100]]] = "no such action"
+        walk = _walker(rg, strat, corridor200.sr, None)
+        for start, caps in ((0, (1, 99, 100)), (40, (59, 60)), (101, (97, 98, 500))):
+            for cap in caps:
+                self._check(corridor200, walk, chain[start], cap, strat=strat)
+        g = corridor200.stochastic
+        for start, cap in ((0, 101), (0, 500), (40, 61)):
+            with pytest.raises(ValueError, match="not available"):
+                walk(chain[start], cap, 0)
+            with pytest.raises(ValueError, match="not available"):
+                dict_trial_oracle(g, strat, rg.states[chain[start]], cap, 0, None)
+        self._check(corridor200, walk, chain[0], 100, strat=strat)
+
+    def test_dead_end_past_the_cap(self):
+        # P1's state 100 has no move: the restricted game is the chain to it
+        bundle = synthesize(_with_moves(corridor_input(200), {100: {}}))
+        rg = bundle.restricted
+        assert not bundle.asw.x_star and len(rg.states) == 101
+        dead = rg.position((100, "q0", "q0"))
+        assert not rg.names[dead]
+        walk = _walker(rg, bundle.asw.strategy, bundle.sr, None)
+        for cap in (1, 50, 100):
+            assert self._check(bundle, walk, 0, cap) == ((dead if cap == 100 else cap), cap, True)
+        for cap in (101, 300):
+            with pytest.raises(ValueError):
+                walk(0, cap, 0)
+            with pytest.raises(ValueError):
+                dict_trial_oracle(bundle.stochastic, {}, rg.states[0], cap, 0, None)
+        with pytest.raises(ValueError):
+            simulate_asw(bundle.stochastic, {}, rg.states[0], 3, 101, 0, bundle.sr)
+
+    @pytest.mark.parametrize(
+        "learnt", [None, (0, 500), (100, 500), (101, 500), (0, 100), (50, 60)], ids=_learnt_id
+    )
+    def test_flagged_move_inside_a_run(self, corridor200, learnt):
+        # P1's move 100 -> 101 is not rationalizable for this SR map: a trial
+        # through it violates stealth, and one cut off before it does not
+        rg = corridor200.restricted
+        chain = _chain(rg)
+        sr = _DroppingSr(corridor200.sr, {"100->101"})
+        for start, caps in ((0, (99, 100, 101, 102, 198)), (50, (49, 50, 51, 148)), (101, (1, 97))):
+            for cap in caps:
+                walk = _walker(rg, corridor200.asw.strategy, sr, None)
+                if learnt is not None:
+                    walk(chain[learnt[0]], learnt[1], 0)
+                for _ in range(2):
+                    _end, moves, stealthy = self._check(corridor200, walk, chain[start], cap, sr=sr)
+                    assert stealthy == (not start <= 100 < start + moves)
+        g, strat = corridor200.stochastic, corridor200.asw.strategy
+        assert simulate_asw(g, strat, g.initial, 20, 100, 0, sr).stealth_violations == 0
+        assert simulate_asw(g, strat, g.initial, 20, 101, 0, sr).stealth_violations == 20
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_runs_between_draws(self, weighted):
+        # the ladder's trials draw, enter runs at their start or in their
+        # middle and jump or step through them; one walker serves every trial
+        weights = (lambda names: [1.0 + 3 * i for i in range(len(names))]) if weighted else None
+        for dropped in ((), ("10->11", "34->35")):
+            bundle = synthesize(_ladder_input())
+            rg = bundle.restricted
+            sr = _DroppingSr(bundle.sr, dropped)
+            walk = _walker(rg, bundle.asw.strategy, sr, weights)
+            for start in range(len(rg.states)):
+                for cap in (1, 4, 9, 10, 11, 30, 300):
+                    for key in trial_keys(start + cap, 3):
+                        self._check(bundle, walk, start, cap, key, sr=sr, weights=weights)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_running_example_every_state(self, running_bundle, weighted):
+        def by_name(names):
+            return [2.0 + len(a) + i for i, a in enumerate(names)]
+
+        weights = by_name if weighted else None
+        rg = running_bundle.restricted
+        walk = _walker(rg, running_bundle.asw.strategy, running_bundle.sr, weights)
+        for start in range(len(rg.states)):
+            for cap in range(1, 25):
+                for key in trial_keys(cap, 4):
+                    self._check(running_bundle, walk, start, cap, key, weights=weights)
 
 
 REJECTED_KEY = -0x9E3779B97F4A7C15 % 2**64
